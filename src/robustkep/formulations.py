@@ -730,6 +730,11 @@ def _picef_recourse(initial_pairs, enforced, u, pool, graph, policy, lifted, L):
             for (i, j), pv in rec.psi_arc_vars.items():
                 if i == last:
                     model.fix(pv, 0.0)
+            # the cut solution must hold the enforced chain itself, not an
+            # extension of it, or its cut credits nothing for the chain
+            for a in arcs:
+                if a.src == last:
+                    model.fix(rec.eta_vars[a], 0.0)
     return rec
 
 

@@ -1,9 +1,14 @@
 """Small exact 0-1 MILP solver.
 
-LP relaxations are solved with scipy's HiGHS backend; integrality is
-enforced by a deterministic depth-first branch-and-bound on fractional
-binaries.  Rows can be appended between solves (lazy cuts); every solve is
-cold and therefore reproducible.
+LP relaxations are solved with HiGHS; integrality is enforced by a
+deterministic depth-first branch-and-bound on fractional binaries.  Each
+solve builds one HiGHS LP and only changes column bounds from node to node,
+so the dual simplex restarts from the basis the previous node left.  Rows
+can be appended between solves (lazy cuts).  Solves stay reproducible: the
+LP is built afresh in every solve and never kept, and the node order is
+fixed, so a repeated solve replays the same warm-start sequence.  When
+scipy's private HiGHS binding cannot be imported, every node is solved cold
+with ``scipy.optimize.linprog`` instead, which is also the reference.
 """
 
 from __future__ import annotations
@@ -15,7 +20,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _highs = None
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -122,31 +132,22 @@ class MilpModel:
 
     # -- solving ---------------------------------------------------------
 
-    def _lp_arrays(self):
-        n = self.num_variables
-        sign = -1.0 if self.sense == "max" else 1.0
-        c = sign * np.asarray(self.obj, dtype=float)
-
-        ub_rows = [r for r in self.rows if r.relation != EQUAL]
-        eq_rows = [r for r in self.rows if r.relation == EQUAL]
-
-        def build(rows, flip_ge):
-            data, indices, indptr, rhs = [], [], [0], []
-            for r in rows:
-                s = -1.0 if (flip_ge and r.relation == GREATER_EQUAL) else 1.0
-                for var, coef in r.coeffs:
-                    indices.append(var)
-                    data.append(s * coef)
-                indptr.append(len(data))
-                rhs.append(s * r.rhs)
-            mat = csr_matrix(
-                (data, indices, indptr), shape=(len(rows), n)
-            )
-            return mat, np.asarray(rhs, dtype=float)
-
-        a_ub, b_ub = build(ub_rows, flip_ge=True) if ub_rows else (None, None)
-        a_eq, b_eq = build(eq_rows, flip_ge=False) if eq_rows else (None, None)
-        return c, a_ub, b_ub, a_eq, b_eq
+    def _constraint_matrix(self):
+        """All rows as one CSR matrix with row lower and upper bounds."""
+        data, indices, indptr = [], [], [0]
+        row_lo = np.full(self.num_rows, -np.inf)
+        row_hi = np.full(self.num_rows, np.inf)
+        for k, r in enumerate(self.rows):
+            for var, coef in r.coeffs:
+                indices.append(var)
+                data.append(coef)
+            indptr.append(len(data))
+            if r.relation != GREATER_EQUAL:
+                row_hi[k] = r.rhs
+            if r.relation != LESS_EQUAL:
+                row_lo[k] = r.rhs
+        shape = (self.num_rows, self.num_variables)
+        return csr_matrix((data, indices, indptr), shape=shape), row_lo, row_hi
 
     def solve(self, time_limit: Optional[float] = None) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
@@ -167,8 +168,10 @@ class MilpModel:
             if feasible:
                 return SolveOutcome(SolveStatus.OPTIMAL, 0.0, [], 0.0, 1, 0)
             return SolveOutcome(SolveStatus.INFEASIBLE, None, None, 0.0, 1, 0)
-        c, a_ub, b_ub, a_eq, b_eq = self._lp_arrays()
         sign = -1.0 if self.sense == "max" else 1.0
+        c = sign * np.asarray(self.obj, dtype=float)
+        node_lp = _warm_node_lp if _highs is not None else _cold_node_lp
+        solve_lp = node_lp(c, *self._constraint_matrix())
 
         base_lb = np.asarray(self.lb, dtype=float)
         base_ub = np.asarray(self.ub, dtype=float)
@@ -201,24 +204,12 @@ class MilpModel:
             for var, val in overrides.items():
                 lb[var] = val
                 ub[var] = val
-            res = linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=np.column_stack([lb, ub]),
-                method="highs",
-            )
-            lp_iters += int(getattr(res, "nit", 0) or 0)
-            if res.status == 2:  # infeasible node
+            bound, x, iters = solve_lp(lb, ub)
+            lp_iters += iters
+            if x is None:  # infeasible node
                 continue
-            if res.status != 0:
-                raise RuntimeError(f"LP solve failed with status {res.status}")
-            bound = res.fun
             if bound >= incumbent_val - improvement:
                 continue
-            x = res.x
             frac_var = -1
             frac_dist = INTEGRALITY_TOL
             for i in binaries:
@@ -294,3 +285,82 @@ class MilpModel:
             out.append(" " + " ".join(f"x{i}" for i in bins))
         out.append("End")
         return "\n".join(out) + "\n"
+
+
+# -- node LPs ---------------------------------------------------------------
+#
+# A node LP solver is made once per solve from the objective and the rows; it
+# is called with one node's column bounds and returns (objective, x, simplex
+# iterations), with x None when the node is infeasible.
+
+
+def _warm_node_lp(c, a, row_lo, row_hi):
+    """Node LPs on one HiGHS instance: each node changes only column bounds,
+    so the dual simplex restarts from the previous node's basis."""
+    n = len(c)
+    csc = a.tocsc()
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = a.shape[0]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)  # every node sets its own column bounds
+    lp.col_upper_ = np.zeros(n)
+    lp.row_lower_ = row_lo
+    lp.row_upper_ = row_hi
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.start_ = csc.indptr
+    lp.a_matrix_.index_ = csc.indices
+    lp.a_matrix_.value_ = csc.data
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(lp)
+    cols = np.arange(n, dtype=np.int32)
+
+    def solve_node(lb, ub):
+        highs.changeColsBounds(n, cols, lb, ub)
+        highs.run()
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        iters = info.simplex_iteration_count
+        if status == _highs.HighsModelStatus.kOptimal:
+            x = np.array(highs.getSolution().col_value)
+            return info.objective_function_value, x, iters
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return None, None, iters
+        raise RuntimeError(
+            f"LP solve failed with status {highs.modelStatusToString(status)}"
+        )
+
+    return solve_node
+
+
+def _cold_node_lp(c, a, row_lo, row_hi):
+    """Node LPs by one cold ``linprog`` call each; the reference path."""
+    eq = row_lo == row_hi
+    ineq = ~eq
+    # >= rows are negated into <= rows
+    flip = np.where(np.isfinite(row_hi[ineq]), 1.0, -1.0)
+    a_ub = diags(flip) @ a[ineq]
+    b_ub = np.where(flip > 0, row_hi[ineq], -row_lo[ineq])
+    a_eq, b_eq = a[eq], row_lo[eq]
+
+    def solve_node(lb, ub):
+        res = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=np.column_stack([lb, ub]),
+            method="highs",
+        )
+        iters = int(getattr(res, "nit", 0) or 0)
+        if res.status == 2:
+            return None, None, iters
+        if res.status != 0:
+            raise RuntimeError(f"LP solve failed with status {res.status}")
+        return res.fun, res.x, iters
+
+    return solve_node

@@ -139,12 +139,18 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             _check(outcome)
             stats.bb_nodes += outcome.nodes_explored
             z_bar = outcome.int_objective()
-            x_bar = extract_initial_solution(master, outcome)
             if z_bar == 0:
+                # the robust optimum is 0; the empty plan is certified by the
+                # empty attack, which x_bar need not be
                 best = RobustResult(
-                    0, x_bar, Attack.of((), cfg.budget), "optimal", stats
+                    0,
+                    KepSolution.empty(),
+                    Attack.of((), cfg.budget),
+                    "optimal",
+                    stats,
                 )
                 break
+            x_bar = extract_initial_solution(master, outcome)
             s_val, u_star = _solve_subproblem(
                 x_bar, pool, graph, cfg, z_bar, clock, stats
             )
@@ -281,6 +287,7 @@ def solve_attack_subproblem_bb(
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
+    stats.n_subproblems += 1
     initial_pairs = initial.initial_pairs(pool, graph)
     init_exchanges = initial.exchanges(pool)
     weights = [exchange_weight(e, initial_pairs) for e in init_exchanges]
@@ -340,7 +347,6 @@ def solve_attack_subproblem_bb(
             continue
         stack.append((a1, a0 | {first_added}))
         stack.append((a1 | {first_added}, a0))  # explored first
-    stats.n_subproblems += 1
     return best_val, best_u
 
 

@@ -222,6 +222,29 @@ class TestRecourse:
             sol, value = extract_cut_solution(rec, out)
             assert sol.is_feasible(pool)
             assert value == brute_force_recourse(x, u, pool, graph, policy)
+            # the cut from this solution is tight at u, so a cut round that
+            # finds r > z_sub always raises z_sub at u
+            sub = build_subproblem(x, pool, graph, policy, encoding, 2)
+            add_interdiction_cut(sub, sol)
+            assert solve_subproblem_at(sub, u).int_objective() == value
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_fse_cut_tight_at_enforced_chain(self, encoding, lifted):
+        """The surviving initial chain (3,0) is enforced; the cut built from
+        the recourse solution must credit it at u, or the cut loop stalls."""
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        x = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0)))])
+        u = Attack.of([2], 1)
+        policy = Policy.FIX_SUCCESSFUL
+        rec = build_recourse(
+            x, u, pool, CHAIN_GRAPH, policy, encoding, lifted=lifted, max_chain_len=3
+        )
+        sol, value = extract_cut_solution(rec, rec.model.solve())
+        assert value == 1
+        sub = build_subproblem(x, pool, CHAIN_GRAPH, policy, encoding, 1)
+        add_interdiction_cut(sub, sol)
+        assert solve_subproblem_at(sub, u).int_objective() == value
 
     def test_fse_keeps_surviving_prefix(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)

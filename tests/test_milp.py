@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from robustkep import milp
 from robustkep.milp import (
     BINARY,
     CONTINUOUS,
@@ -135,8 +136,18 @@ def enumerate_optimum(m):
     return best
 
 
+@pytest.fixture(params=["warm", "linprog"])
+def lp_path(request, monkeypatch):
+    """Node LPs on one warm HiGHS instance per solve, or cold ``linprog``."""
+    if request.param == "warm" and milp._highs is None:
+        pytest.skip("scipy's HiGHS binding is not importable")
+    if request.param == "linprog":
+        monkeypatch.setattr(milp, "_highs", None)
+    return request.param
+
+
 class TestAgainstEnumeration:
-    def test_random_models(self):
+    def test_random_models(self, lp_path):
         rng = random.Random(7)
         for _ in range(60):
             m = random_model(rng)
@@ -148,16 +159,20 @@ class TestAgainstEnumeration:
                 assert out.status is SolveStatus.OPTIMAL
                 assert out.int_objective() == expected
 
-    def test_determinism(self):
+    def test_determinism(self, lp_path):
         rng = random.Random(11)
         for _ in range(10):
             m = random_model(rng)
-            first = m.solve()
-            second = m.solve()
-            assert first.status == second.status
-            if first.status is SolveStatus.OPTIMAL:
-                assert first.assignment == second.assignment
-                assert first.nodes_explored == second.nodes_explored
+            for _ in range(2):  # the second round follows a lazily added row
+                first = m.solve()
+                second = m.solve()
+                assert first.status == second.status
+                if first.status is SolveStatus.OPTIMAL:
+                    assert first.assignment == second.assignment
+                    assert first.nodes_explored == second.nodes_explored
+                    assert first.lp_iterations == second.lp_iterations
+                support = rng.sample(range(m.num_variables), min(3, m.num_variables))
+                m.add_row([(v, 1.0) for v in support], LESS_EQUAL, 1)
 
 
 class TestLpDump:

@@ -16,6 +16,7 @@ from robustkep import (
     solve_robust,
 )
 from robustkep.solvers import (
+    RobustStats,
     brute_force_attack,
     brute_force_recourse,
     brute_force_robust,
@@ -61,6 +62,18 @@ class TestSolveRobust:
         )
         assert achieved == result.value
 
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_value_zero_attack_certifies_plan(self, encoding):
+        g = generate_instance(5, 1, 0.4, seed=0)
+        cfg = RobustConfig(3, 3, 1, Policy.FULL_RECOURSE, encoding)
+        result = solve_robust(g, cfg)
+        assert result.value == 0
+        pool = build_pool(g, 3, 3)
+        achieved = brute_force_recourse(
+            result.initial, result.worst_attack, pool, g, cfg.policy
+        )
+        assert achieved == 0
+
     def test_determinism(self):
         cfg = RobustConfig(3, 3, 1, Policy.FIX_SUCCESSFUL, Encoding.PICEF)
         a = solve_robust(CHAIN_GRAPH, cfg)
@@ -98,6 +111,22 @@ class TestSubproblemSolvers:
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
+
+    def test_bb_early_exit_is_counted(self):
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        x = full_chain_solution(pool)
+        full, early = RobustStats(), RobustStats()
+        solve_attack_subproblem_bb(
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1, max_chain_len=3,
+            stats=full,
+        )
+        s, _ = solve_attack_subproblem_bb(
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1, max_chain_len=3,
+            early_exit=True, master_value=3, stats=early,
+        )
+        assert s < 3
+        assert early.bb_nodes < full.bb_nodes  # the search stopped early
+        assert early.n_subproblems == full.n_subproblems == 1
 
     def test_budget_zero(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
