@@ -87,10 +87,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     lines = [f"status: {result.status}"]
     if result.status == "optimal":
         lines.append(f"objective: {result.value}")
-    from .core import build_pool
-
-    pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
-    for e in result.initial.exchanges(pool):
+    for e in result.exchanges:
         lines.append(f"  {e.kind.value}: {' '.join(str(v) for v in e.vertices)}")
     lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")
     st = result.stats

@@ -5,6 +5,10 @@ Compatibility graphs over donor-recipient pairs and non-directed donors
 position-indexed arc set used by the PICEF encoding, attack patterns, and
 the recourse-aware objective (pairs covered by both the initial and the
 post-attack solution).
+
+``ExchangePool`` is the one index every model builder reads: the exchanges
+through each vertex, and the PICEF arcs derived once from the pool's own
+chains, looked up by head, by tail (and position) and by graph arc.
 """
 
 from __future__ import annotations
@@ -245,12 +249,16 @@ class ExchangePool:
     """Index over all enumerated exchanges: cycles first, then chains.
 
     ``per_vertex[j]`` lists the indices of exchanges whose vertex set
-    contains j.
+    contains j, cycles before chains.  ``picef_arcs`` holds every (arc,
+    position) on the pool's chains, ordered by (pos, src, dst): for a pool of
+    all chains with up to L arcs, ``picef_positions(graph, L)``.  The
+    ``arcs_*`` methods look them up by head, tail (and position) and arc.
     """
 
     cycles: List[Exchange]
     chains: List[Exchange]
-    per_vertex: Dict[int, List[int]] = field(default_factory=dict)
+    per_vertex: Dict[int, List[int]] = field(init=False)
+    picef_arcs: List[PicefArc] = field(init=False)
 
     def __post_init__(self):
         reindexed_cycles = []
@@ -263,12 +271,24 @@ class ExchangePool:
         self.cycles = reindexed_cycles
         self.chains = reindexed_chains
         self._by_key = {e.key(): e.index for e in self.exchanges}
-        if not self.per_vertex:
-            per_vertex: Dict[int, List[int]] = {}
-            for e in self.exchanges:
-                for v in e.vertices:
-                    per_vertex.setdefault(v, []).append(e.index)
-            self.per_vertex = per_vertex
+        self.per_vertex = {}
+        for e in self.exchanges:
+            for v in e.vertices:
+                self.per_vertex.setdefault(v, []).append(e.index)
+        found = {
+            PicefArc(i, j, pos)
+            for d in self.chains
+            for pos, (i, j) in enumerate(d.arcs, start=1)
+        }
+        self.picef_arcs = sorted(found, key=lambda a: (a.pos, a.src, a.dst))
+        self._into: Dict[int, List[PicefArc]] = {}
+        self._out: Dict[Tuple[int, Optional[int]], List[PicefArc]] = {}
+        self._on: Dict[Arc, List[PicefArc]] = {}
+        for a in self.picef_arcs:
+            self._into.setdefault(a.dst, []).append(a)
+            self._out.setdefault((a.src, None), []).append(a)
+            self._out.setdefault((a.src, a.pos), []).append(a)
+            self._on.setdefault((a.src, a.dst), []).append(a)
 
     @property
     def exchanges(self) -> List[Exchange]:
@@ -291,6 +311,17 @@ class ExchangePool:
 
     def involving(self, v: int) -> List[int]:
         return self.per_vertex.get(v, [])
+
+    def arcs_into(self, j: int) -> List[PicefArc]:
+        return self._into.get(j, [])
+
+    def arcs_out_of(self, i: int, pos: Optional[int] = None) -> List[PicefArc]:
+        """PICEF arcs leaving i, only those at position ``pos`` if given."""
+        return self._out.get((i, pos), [])
+
+    def arcs_on(self, i: int, j: int) -> List[PicefArc]:
+        """PICEF arcs over the graph arc (i, j), one per position."""
+        return self._on.get((i, j), [])
 
 
 def build_pool(graph: CompatibilityGraph, K: int, L: int) -> ExchangePool:
@@ -392,7 +423,7 @@ def enforceable_set(initial: KepSolution, pool: ExchangePool) -> List[Exchange]:
 
 
 def surviving_structures(
-    pool: ExchangePool, initial: KepSolution, u: Attack
+    pool: ExchangePool, u: Attack
 ) -> Tuple[Set[int], Dict[int, Set[int]]]:
     """(E_u, I_u): surviving exchange indices, and per vertex j the exchanges
     that would leave an enforced (partial) structure covering j under u.
@@ -406,8 +437,9 @@ def surviving_structures(
         for j in e.vertices:
             if e.kind is ExchangeKind.CYCLE:
                 ok = e.index in survivors
-            else:
-                ok = not any(v in u.attacked for v in subchain_to(e, j).vertices)
+            else:  # the prefix up to j, at least the first arc, is unattacked
+                end = max(e.vertices.index(j), 1)
+                ok = not any(v in u.attacked for v in e.vertices[: end + 1])
             if ok:
                 per_vertex.setdefault(j, set()).add(e.index)
     return survivors, per_vertex

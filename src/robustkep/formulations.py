@@ -5,13 +5,18 @@ attack), the attacker-side subproblem with lazily separated interdiction
 cuts, and the recourse problems used to separate those cuts (plain and
 lifted), for both the cycle-chain (CC) and position-indexed chain-edge
 (PICEF) encodings and both recourse policies.
+
+Every builder reads the exchange pool's index (the exchanges through each
+vertex, and the PICEF arcs by head, tail and graph arc) and the graph's
+adjacency lists, and shares a few row helpers: the cover of a vertex in
+either encoding, precedence (at-most) rows, and the attacker's survival rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Arc,
@@ -27,8 +32,7 @@ from .core import (
     enforced_under_attack,
     enforceable_set,
     exchange_weight,
-    picef_positions,
-    subchain_to,
+    picef_positions,  # noqa: F401  not called here; perfbench/tracer.py wraps it
     surviving_structures,
 )
 from .milp import (
@@ -48,13 +52,6 @@ class Encoding(Enum):
 
 
 ChainKey = Tuple[int, ...]
-
-
-def _chain_prefix_vertices(vertices: ChainKey, j: int) -> ChainKey:
-    """Vertices of the minimal prefix of a chain containing j."""
-    if j == vertices[0]:
-        return vertices[:2]
-    return vertices[: vertices.index(j) + 1]
 
 
 def assemble_chains(arcs: Sequence[PicefArc]) -> List[ChainKey]:
@@ -85,6 +82,102 @@ def assemble_chains(arcs: Sequence[PicefArc]) -> List[ChainKey]:
 
 
 # ---------------------------------------------------------------------------
+# Shared row helpers
+# ---------------------------------------------------------------------------
+
+
+def _room(attacked: Collection[int], j: int) -> float:
+    """Right-hand side of vertex j's cover row: 0 once j is attacked."""
+    return 0.0 if j in attacked else 1.0
+
+
+def _cover(
+    pool: ExchangePool, j: int, x: Dict[int, int], arcs: Dict[PicefArc, int]
+) -> List[int]:
+    """Variables of one solution encoding that use vertex j.
+
+    ``x`` maps pool indices to exchange variables: every exchange in CC, the
+    cycles in PICEF, or a subset of them.  ``arcs`` maps PICEF arcs to their
+    variables (empty in CC); the arcs into j and out of NDD j use it.
+    """
+    cover = [x[i] for i in pool.involving(j) if i in x]
+    if arcs:
+        cover += [arcs[a] for a in pool.arcs_into(j)]
+        cover += [arcs[a] for a in pool.arcs_out_of(j, 1)]
+    return cover
+
+
+def _arc_cover(
+    graph: CompatibilityGraph, j: int, arc_vars: Dict[Arc, int]
+) -> List[int]:
+    """Graph-arc variables that use vertex j: arcs into pair j, out of NDD j."""
+    if graph.is_ndd(j):
+        arcs = [(j, k) for k in graph.out_adj[j]]
+    else:
+        arcs = [(i, j) for i in graph.in_adj[j]]
+    return [arc_vars[a] for a in arcs if a in arc_vars]
+
+
+def _at_most(model: MilpModel, lhs: List[int], rhs: List[int]) -> None:
+    """Row sum(lhs) <= sum(rhs), none when ``lhs`` is empty: the precedence
+    rows (a vertex passes a chain on only if it got one) and linking rows."""
+    if lhs:
+        model.add_row(
+            [(v, 1.0) for v in lhs] + [(v, -1.0) for v in rhs], LESS_EQUAL, 0.0
+        )
+
+
+def _position_rows(
+    model: MilpModel,
+    pool: ExchangePool,
+    graph: CompatibilityGraph,
+    arcs: Dict[PicefArc, int],
+) -> None:
+    """PICEF precedence: pair j uses an arc at position l+1 only after an
+    arc into j at position l."""
+    for j in graph.pairs:
+        for pos in sorted({a.pos for a in pool.arcs_out_of(j)}):
+            out = [arcs[a] for a in pool.arcs_out_of(j, pos)]
+            inc = [arcs[a] for a in pool.arcs_into(j) if a.pos == pos - 1]
+            _at_most(model, out, inc)
+
+
+def _packing_rows(
+    model: MilpModel,
+    pool: ExchangePool,
+    graph: CompatibilityGraph,
+    x: Dict[int, int],
+    arcs: Dict[PicefArc, int],
+    attacked: Collection[int] = (),
+) -> None:
+    """One solution encoding: each vertex used at most once (never when
+    attacked) and, in PICEF, its precedence rows."""
+    for j in range(graph.num_vertices):
+        cover = _cover(pool, j, x, arcs)
+        if cover:
+            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, _room(attacked, j))
+    if arcs:
+        _position_rows(model, pool, graph, arcs)
+
+
+def _survival_rows(
+    model: MilpModel,
+    var: int,
+    vertices: Sequence[int],
+    u_vars: Dict[int, int],
+    extra: Sequence[int] = (),
+    exact: bool = False,
+) -> None:
+    """var >= 1 unless a vertex is attacked or an ``extra`` variable is set;
+    with ``exact`` also var <= 1 - u_k, so var is 1 iff no vertex is attacked."""
+    coeffs = [(var, 1.0)] + [(u_vars[k], 1.0) for k in vertices]
+    model.add_row(coeffs + [(v, 1.0) for v in extra], GREATER_EQUAL, 1.0)
+    if exact:
+        for k in vertices:
+            model.add_row([(var, 1.0), (u_vars[k], 1.0)], LESS_EQUAL, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # Master problem
 # ---------------------------------------------------------------------------
 
@@ -108,8 +201,6 @@ class MasterHandle:
     z_var: int
     x_vars: Dict[int, int]
     xi_vars: Dict[PicefArc, int]
-    picef_arcs: List[PicefArc]
-    max_chain_len: int
     blocks: List[AttackBlock] = field(default_factory=list)
 
     def registered(self, u: Attack) -> bool:
@@ -122,7 +213,6 @@ def build_master(
     policy: Policy,
     encoding: Encoding,
     attacks: Sequence[Attack],
-    max_chain_len: int = 0,
 ) -> MasterHandle:
     """Restricted master z_Pi(U-bar) over the given attack set.
 
@@ -133,227 +223,91 @@ def build_master(
         raise ValueError("master needs at least one attack (seed with the zero attack)")
     model = MilpModel("max", integral_objective=True)
     z_var = model.add_variable(CONTINUOUS, 0.0, graph.num_pairs, obj=1.0)
+    picef = encoding is Encoding.PICEF
+    structures = pool.cycles if picef else pool.exchanges
+    x_vars = {e.index: model.add_variable(BINARY) for e in structures}
+    xi_vars = {a: model.add_variable(BINARY) for a in pool.picef_arcs} if picef else {}
+    _packing_rows(model, pool, graph, x_vars, xi_vars)
 
-    x_vars: Dict[int, int] = {}
-    xi_vars: Dict[PicefArc, int] = {}
-    arcs: List[PicefArc] = []
-
-    if encoding is Encoding.CC:
-        for e in pool.exchanges:
-            x_vars[e.index] = model.add_variable(BINARY)
-        for j in range(graph.num_vertices):
-            involved = pool.involving(j)
-            if involved:
-                model.add_row([(x_vars[i], 1.0) for i in involved], LESS_EQUAL, 1.0)
-    else:
-        arcs = picef_positions(graph, max_chain_len)
-        for c in pool.cycles:
-            x_vars[c.index] = model.add_variable(BINARY)
-        for a in arcs:
-            xi_vars[a] = model.add_variable(BINARY)
-        _picef_structure_rows(
-            model, graph, pool, arcs, x_vars, xi_vars, max_chain_len, rhs=lambda j: 1.0
-        )
-
-    master = MasterHandle(
-        model, graph, pool, policy, encoding, z_var, x_vars, xi_vars, arcs, max_chain_len
-    )
+    master = MasterHandle(model, graph, pool, policy, encoding, z_var, x_vars, xi_vars)
     for u in attacks:
         extend_master_with_attack(master, u)
     return master
 
 
-def _picef_structure_rows(model, graph, pool, arcs, cyc_vars, arc_vars, L, rhs):
-    """Packing and precedence rows for one PICEF solution encoding."""
-    for j in graph.pairs:
-        coeffs = [(cyc_vars[c.index], 1.0) for c in pool.cycles if j in c.vertices]
-        coeffs += [(arc_vars[a], 1.0) for a in arcs if a.dst == j]
-        if coeffs:
-            model.add_row(coeffs, LESS_EQUAL, rhs(j))
-    for n in graph.ndds:
-        coeffs = [(arc_vars[a], 1.0) for a in arcs if a.src == n and a.pos == 1]
-        if coeffs:
-            model.add_row(coeffs, LESS_EQUAL, rhs(n))
-    for j in graph.pairs:
-        for ell in range(1, L):
-            out = [(arc_vars[a], 1.0) for a in arcs if a.src == j and a.pos == ell + 1]
-            if not out:
-                continue
-            inc = [(arc_vars[a], -1.0) for a in arcs if a.dst == j and a.pos == ell]
-            model.add_row(out + inc, LESS_EQUAL, 0.0)
-
-
-def extend_master_with_attack(
-    master: MasterHandle,
-    u: Attack,
-    policy: Optional[Policy] = None,
-    encoding: Optional[Encoding] = None,
-) -> MasterHandle:
+def extend_master_with_attack(master: MasterHandle, u: Attack) -> MasterHandle:
     """Add the recourse variable/constraint block for one new attack."""
-    if policy is not None and policy is not master.policy:
-        raise ValueError("policy mismatch with master")
-    if encoding is not None and encoding is not master.encoding:
-        raise ValueError("encoding mismatch with master")
     if master.registered(u):
         raise ValueError(f"attack {sorted(u.attacked)} already registered")
-    if master.encoding is Encoding.CC:
-        block = _cc_attack_block(master, u)
-    else:
-        block = _picef_attack_block(master, u)
-    master.blocks.append(block)
+    master.blocks.append(_attack_block(master, u))
     return master
 
 
-def _cc_attack_block(master: MasterHandle, u: Attack) -> AttackBlock:
+def _attack_block(master: MasterHandle, u: Attack) -> AttackBlock:
+    """Recourse solution (y, and psi in PICEF) under u; z_j <= 1 when pair j
+    is covered by both it and the initial solution, and Z <= sum of z."""
     model, pool, graph = master.model, master.pool, master.graph
-    survivors, enforcers = surviving_structures(pool, KepSolution.empty(), u)
     fse = master.policy is Policy.FIX_SUCCESSFUL
+    picef = master.encoding is Encoding.PICEF
+    survivors, enforcers = surviving_structures(pool, u) if fse else (set(), {})
 
-    if fse:
+    if picef:
+        y_vars = {c.index: model.add_variable(BINARY) for c in pool.cycles}
+    elif fse:
         y_vars = {i: model.add_variable(BINARY) for i in sorted(survivors)}
     else:
         y_vars = {e.index: model.add_variable(BINARY) for e in pool.exchanges}
-    z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in graph.pairs}
-
-    model.add_row(
-        [(master.z_var, 1.0)] + [(z_vars[j], -1.0) for j in graph.pairs],
-        LESS_EQUAL,
-        0.0,
-    )
-    for j in graph.pairs:
-        involved = pool.involving(j)
-        model.add_row(
-            [(z_vars[j], 1.0)] + [(master.x_vars[i], -1.0) for i in involved],
-            LESS_EQUAL,
-            0.0,
-        )
-    for j in range(graph.num_vertices):
-        involved = pool.involving(j)
-        if fse:
-            x_part = sorted(enforcers.get(j, set()))
-            y_part = [i for i in involved if i in survivors]
-            cover = [(master.x_vars[i], 1.0) for i in x_part]
-            cover += [(y_vars[i], 1.0) for i in y_part]
-        else:
-            cover = [(y_vars[i], 1.0) for i in involved]
-        if graph.is_pair(j):
-            model.add_row(
-                [(z_vars[j], 1.0)] + [(v, -c) for v, c in cover], LESS_EQUAL, 0.0
-            )
-        if cover:
-            model.add_row(cover, LESS_EQUAL, 0.0 if j in u.attacked else 1.0)
-    return AttackBlock(u, y_vars, z_vars)
-
-
-def _picef_attack_block(master: MasterHandle, u: Attack) -> AttackBlock:
-    model, pool, graph = master.model, master.pool, master.graph
-    arcs = master.picef_arcs
-    fse = master.policy is Policy.FIX_SUCCESSFUL
-
-    y_vars = {c.index: model.add_variable(BINARY) for c in pool.cycles}
-    psi_vars = {a: model.add_variable(BINARY) for a in arcs}
+    psi_vars = {a: model.add_variable(BINARY) for a in pool.picef_arcs} if picef else {}
     z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in graph.pairs}
     beta_vars: Dict[Arc, int] = {}
 
-    model.add_row(
-        [(master.z_var, 1.0)] + [(z_vars[j], -1.0) for j in graph.pairs],
-        LESS_EQUAL,
-        0.0,
-    )
+    _at_most(model, [master.z_var], list(z_vars.values()))
     for j in graph.pairs:
-        initial_cover = [
-            (master.x_vars[c.index], -1.0) for c in pool.cycles if j in c.vertices
-        ]
-        initial_cover += [(master.xi_vars[a], -1.0) for a in arcs if a.dst == j]
-        model.add_row([(z_vars[j], 1.0)] + initial_cover, LESS_EQUAL, 0.0)
-
-    def attacked(j: int) -> float:
-        return 0.0 if j in u.attacked else 1.0
-
-    if fse:
-        beta_vars = {arc: model.add_variable(BINARY) for arc in master.graph.arcs}
+        _at_most(model, [z_vars[j]], _cover(pool, j, master.x_vars, master.xi_vars))
+    if fse and picef:
+        beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs}
         _picef_beta_rows(master, u, beta_vars)
-        surviving_cycles = {c.index for c in pool.cycles if not u.hits(c)}
-        for j in graph.pairs:
-            cover = [
-                (master.x_vars[i], 1.0)
-                for i in surviving_cycles
-                if j in pool.exchange(i).vertices
-            ]
-            cover += [(b, 1.0) for (i, k), b in beta_vars.items() if k == j]
-            cover += [(y_vars[c.index], 1.0) for c in pool.cycles if j in c.vertices]
-            cover += [(psi_vars[a], 1.0) for a in arcs if a.dst == j]
-            model.add_row(
-                [(z_vars[j], 1.0)] + [(v, -c) for v, c in cover], LESS_EQUAL, 0.0
-            )
-            model.add_row(cover, LESS_EQUAL, attacked(j))
-        for n in graph.ndds:
-            cover = [(b, 1.0) for (i, k), b in beta_vars.items() if i == n]
-            cover += [(psi_vars[a], 1.0) for a in arcs if a.src == n and a.pos == 1]
-            if cover:
-                model.add_row(cover, LESS_EQUAL, attacked(n))
-    else:
-        for j in graph.pairs:
-            cover = [(y_vars[c.index], 1.0) for c in pool.cycles if j in c.vertices]
-            cover += [(psi_vars[a], 1.0) for a in arcs if a.dst == j]
-            model.add_row(
-                [(z_vars[j], 1.0)] + [(v, -c) for v, c in cover], LESS_EQUAL, 0.0
-            )
-            if cover:
-                model.add_row(cover, LESS_EQUAL, attacked(j))
-        for n in graph.ndds:
-            cover = [(psi_vars[a], 1.0) for a in arcs if a.src == n and a.pos == 1]
-            if cover:
-                model.add_row(cover, LESS_EQUAL, attacked(n))
-    for j in graph.pairs:
-        for ell in range(1, master.max_chain_len):
-            out = [(psi_vars[a], 1.0) for a in arcs if a.src == j and a.pos == ell + 1]
-            if not out:
-                continue
-            inc = [(psi_vars[a], -1.0) for a in arcs if a.dst == j and a.pos == ell]
-            model.add_row(out + inc, LESS_EQUAL, 0.0)
+
+    for j in range(graph.num_vertices):
+        # FSE: the initial structures u leaves intact still cover j
+        enforcing = sorted(enforcers.get(j, ()))
+        cover = [master.x_vars[i] for i in enforcing if i in master.x_vars]
+        cover += _arc_cover(graph, j, beta_vars)
+        cover += _cover(pool, j, y_vars, psi_vars)
+        if graph.is_pair(j):
+            _at_most(model, [z_vars[j]], cover)
+        # the FSE PICEF block keeps a pair's cover row even when it is empty;
+        # the row is void, but dropping it changes the LP search path
+        if cover or (fse and picef and graph.is_pair(j)):
+            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, _room(u.attacked, j))
+    if picef:
+        _position_rows(model, pool, graph, psi_vars)
     return AttackBlock(u, y_vars, z_vars, psi_vars, beta_vars)
 
 
 def _picef_beta_rows(master: MasterHandle, u: Attack, beta_vars: Dict[Arc, int]) -> None:
     """Rows pinning beta_ij = 1 exactly when arc (i,j) lies on an initial
     chain whose prefix up to j has no attacked vertex."""
-    model, graph, arcs = master.model, master.graph, master.picef_arcs
+    model, graph, pool = master.model, master.graph, master.pool
 
     def u_of(v: int) -> float:
         return 1.0 if v in u.attacked else 0.0
 
     for (i, j) in graph.arcs:
         b = beta_vars[(i, j)]
-        xi_all = [master.xi_vars[a] for a in arcs if (a.src, a.dst) == (i, j)]
-        model.add_row([(b, 1.0)] + [(v, -1.0) for v in xi_all], LESS_EQUAL, 0.0)
+        # an NDD's arcs only sit at position 1, so for it these are the first arcs
+        xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
+        model.add_row([(b, 1.0)] + xi, LESS_EQUAL, 0.0)
         if graph.is_ndd(i):
-            xi_first = [
-                master.xi_vars[a]
-                for a in arcs
-                if (a.src, a.dst, a.pos) == (i, j, 1)
-            ]
-            model.add_row(
-                [(b, 1.0)] + [(v, -1.0) for v in xi_first],
-                GREATER_EQUAL,
-                -u_of(i) - u_of(j),
-            )
+            model.add_row([(b, 1.0)] + xi, GREATER_EQUAL, -u_of(i) - u_of(j))
         else:
-            pred = [beta_vars[(k, i)] for (k, ii) in graph.arcs if ii == i]
-            model.add_row(
-                [(b, 1.0)]
-                + [(v, -1.0) for v in xi_all]
-                + [(p, -1.0) for p in pred],
-                GREATER_EQUAL,
-                -1.0 - u_of(j),
-            )
+            pred = [(beta_vars[(k, i)], -1.0) for k in graph.in_adj[i]]
+            model.add_row([(b, 1.0)] + xi + pred, GREATER_EQUAL, -1.0 - u_of(j))
         model.add_row([(b, 1.0)], LESS_EQUAL, 1.0 - u_of(i))
         model.add_row([(b, 1.0)], LESS_EQUAL, 1.0 - u_of(j))
     for i in graph.pairs:
-        out = [(beta_vars[(a, bb)], 1.0) for (a, bb) in graph.arcs if a == i]
-        inc = [(beta_vars[(a, bb)], -1.0) for (a, bb) in graph.arcs if bb == i]
-        if out:
-            model.add_row(out + inc, LESS_EQUAL, 0.0)
+        out = [beta_vars[(i, k)] for k in graph.out_adj[i]]
+        _at_most(model, out, [beta_vars[(k, i)] for k in graph.in_adj[i]])
 
 
 def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> KepSolution:
@@ -382,7 +336,6 @@ class SubproblemHandle:
     policy: Policy
     encoding: Encoding
     budget: int
-    initial: KepSolution
     initial_pairs: Set[int]
     z_var: int
     u_vars: Dict[int, int]
@@ -390,8 +343,6 @@ class SubproblemHandle:
     zeta_vars: Dict[ChainKey, Dict[Arc, int]] = field(default_factory=dict)
     t_vars: Dict[int, int] = field(default_factory=dict)
     enf_chain_keys: Set[ChainKey] = field(default_factory=set)
-    enf_cycle_idx: Set[int] = field(default_factory=set)
-    cuts: List[KepSolution] = field(default_factory=list)
 
 
 def build_subproblem(
@@ -416,83 +367,50 @@ def build_subproblem(
         policy,
         encoding,
         budget,
-        initial,
         initial_pairs,
         z_var,
         u_vars,
         {},
     )
 
-    enf = enforceable_set(initial, pool) if policy is Policy.FIX_SUCCESSFUL else []
-    sub.enf_cycle_idx = {e.index for e in enf if e.kind is ExchangeKind.CYCLE}
+    fse = policy is Policy.FIX_SUCCESSFUL
+    picef = encoding is Encoding.PICEF
+    enf = enforceable_set(initial, pool) if fse else []
+    enf_idx = {e.index for e in enf}
     sub.enf_chain_keys = {e.vertices for e in enf if e.kind is ExchangeKind.CHAIN}
 
-    if encoding is Encoding.CC:
-        _cc_subproblem_rows(sub, enf)
-    else:
-        _picef_subproblem_rows(sub)
-    return sub
-
-
-def _cc_subproblem_rows(sub: SubproblemHandle, enf: List[Exchange]) -> None:
-    model, pool = sub.model, sub.pool
-    for e in pool.exchanges:
+    structures = pool.cycles if picef else pool.exchanges
+    for e in structures:
         sub.z_vars[e.index] = model.add_variable(CONTINUOUS, 0.0, 1.0)
-    if sub.policy is Policy.FULL_RECOURSE:
-        for e in pool.exchanges:
-            coeffs = [(sub.z_vars[e.index], 1.0)]
-            coeffs += [(sub.u_vars[j], 1.0) for j in e.vertices]
-            model.add_row(coeffs, GREATER_EQUAL, 1.0)
-        return
-    enf_idx = {e.index for e in enf}
-    for e in pool.exchanges:
-        coeffs = [(sub.z_vars[e.index], 1.0)]
-        coeffs += [(sub.u_vars[j], 1.0) for j in e.vertices]
-        if e.index not in enf_idx:
-            overlap = [
-                t.index for t in enf if set(t.vertices) & set(e.vertices)
-            ]
-            coeffs += [(sub.z_vars[i], 1.0) for i in overlap]
-        model.add_row(coeffs, GREATER_EQUAL, 1.0)
-        for j in e.vertices:
-            model.add_row(
-                [(sub.z_vars[e.index], 1.0), (sub.u_vars[j], 1.0)], LESS_EQUAL, 1.0
-            )
-
-
-def _picef_subproblem_rows(sub: SubproblemHandle) -> None:
-    model, pool, graph = sub.model, sub.pool, sub.graph
-    fse = sub.policy is Policy.FIX_SUCCESSFUL
-    for c in pool.cycles:
-        sub.z_vars[c.index] = model.add_variable(CONTINUOUS, 0.0, 1.0)
-    if fse:
-        initial_vertices = sub.initial.vertices(pool)
+    if fse and picef:
+        initial_vertices = initial.vertices(pool)
         for j in range(graph.num_vertices):
             cap = 1.0 if j in initial_vertices else 0.0
             sub.t_vars[j] = model.add_variable(CONTINUOUS, 0.0, cap)
-    for c in pool.cycles:
-        coeffs = [(sub.z_vars[c.index], 1.0)]
-        coeffs += [(sub.u_vars[j], 1.0) for j in c.vertices]
-        if fse and c.index in sub.enf_cycle_idx:
-            model.add_row(coeffs, GREATER_EQUAL, 1.0)
-            for j in c.vertices:
-                model.add_row(
-                    [(sub.z_vars[c.index], 1.0), (sub.u_vars[j], 1.0)], LESS_EQUAL, 1.0
-                )
+    for e in structures:
+        z = sub.z_vars[e.index]
+        if not fse:
+            _survival_rows(model, z, e.vertices, u_vars)
+        elif not picef:
+            overlap = [] if e.index in enf_idx else [
+                sub.z_vars[t.index] for t in enf if set(t.vertices) & set(e.vertices)
+            ]
+            _survival_rows(model, z, e.vertices, u_vars, overlap, exact=True)
+        elif e.index in enf_idx:
+            _survival_rows(model, z, e.vertices, u_vars, exact=True)
             model.add_row(
-                [(sub.t_vars[j], 1.0) for j in c.vertices]
-                + [(sub.z_vars[c.index], -float(len(c.vertices)))],
+                [(sub.t_vars[j], 1.0) for j in e.vertices]
+                + [(z, -float(len(e.vertices)))],
                 EQUAL,
                 0.0,
             )
-        elif fse:
-            coeffs += [(sub.t_vars[j], 1.0) for j in c.vertices]
-            model.add_row(coeffs, GREATER_EQUAL, 1.0)
         else:
-            model.add_row(coeffs, GREATER_EQUAL, 1.0)
-    if fse:
+            t = [sub.t_vars[j] for j in e.vertices]
+            _survival_rows(model, z, e.vertices, u_vars, t)
+    if fse and picef:
         for key in sorted(sub.enf_chain_keys):
             _materialize_chain(sub, key)
+    return sub
 
 
 def _materialize_chain(sub: SubproblemHandle, vertices: ChainKey) -> Dict[Arc, int]:
@@ -503,19 +421,14 @@ def _materialize_chain(sub: SubproblemHandle, vertices: ChainKey) -> Dict[Arc, i
     fse = sub.policy is Policy.FIX_SUCCESSFUL
     enforced = vertices in sub.enf_chain_keys
     zvars: Dict[Arc, int] = {}
-    for i, j in zip(vertices, vertices[1:]):
+    for end in range(1, len(vertices)):
+        i, j = vertices[end - 1], vertices[end]
         zeta = model.add_variable(CONTINUOUS, 0.0, 1.0)
         zvars[(i, j)] = zeta
-        prefix = _chain_prefix_vertices(vertices, j)
-        coeffs = [(zeta, 1.0)] + [(sub.u_vars[k], 1.0) for k in prefix]
-        if fse and not enforced:
-            coeffs += [(sub.t_vars[k], 1.0) for k in prefix]
-        model.add_row(coeffs, GREATER_EQUAL, 1.0)
-        if fse and enforced:
-            for k in prefix:
-                model.add_row(
-                    [(zeta, 1.0), (sub.u_vars[k], 1.0)], LESS_EQUAL, 1.0
-                )
+        prefix = vertices[: end + 1]
+        extra = [sub.t_vars[k] for k in prefix] if fse and not enforced else []
+        _survival_rows(model, zeta, prefix, sub.u_vars, extra, exact=enforced)
+        if enforced:
             model.add_row([(sub.t_vars[j], 1.0), (zeta, -1.0)], EQUAL, 0.0)
             if sub.graph.is_ndd(i):
                 model.add_row([(sub.t_vars[i], 1.0), (zeta, -1.0)], EQUAL, 0.0)
@@ -523,14 +436,12 @@ def _materialize_chain(sub: SubproblemHandle, vertices: ChainKey) -> Dict[Arc, i
     return zvars
 
 
-def add_interdiction_cut(
-    sub: SubproblemHandle, S: KepSolution, initial_pairs: Optional[Set[int]] = None
-) -> int:
+def add_interdiction_cut(sub: SubproblemHandle, S: KepSolution) -> int:
     """Row Z >= (surviving weight of S): the interdiction cut for one
     feasible full-graph solution S."""
     if not S.is_feasible(sub.pool):
         raise ValueError("cut solution has overlapping exchanges")
-    pairs = sub.initial_pairs if initial_pairs is None else initial_pairs
+    pairs = sub.initial_pairs
     coeffs: List[Tuple[int, float]] = [(sub.z_var, 1.0)]
     for e in S.exchanges(sub.pool):
         if sub.encoding is Encoding.CC or e.kind is ExchangeKind.CYCLE:
@@ -543,9 +454,7 @@ def add_interdiction_cut(
                 w = arc_weight(j, pairs)
                 if w:
                     coeffs.append((zeta, -float(w)))
-    handle = sub.model.add_row(coeffs, GREATER_EQUAL, 0.0)
-    sub.cuts.append(S)
-    return handle
+    return sub.model.add_row(coeffs, GREATER_EQUAL, 0.0)
 
 
 def extract_attack(sub: SubproblemHandle, outcome: SolveOutcome) -> Attack:
@@ -586,7 +495,6 @@ class RecourseHandle:
     psi_pos_vars: Dict[PicefArc, int] = field(default_factory=dict)
     psi_arc_vars: Dict[Arc, int] = field(default_factory=dict)
     eta_vars: Dict[PicefArc, int] = field(default_factory=dict)
-    enforced: List[Exchange] = field(default_factory=list)
 
 
 def build_recourse(
@@ -597,7 +505,6 @@ def build_recourse(
     policy: Policy,
     encoding: Encoding,
     lifted: bool = False,
-    max_chain_len: int = 0,
 ) -> RecourseHandle:
     """Weighted KEP model whose optimum is the best recourse value under u.
 
@@ -610,131 +517,73 @@ def build_recourse(
         if policy is Policy.FIX_SUCCESSFUL
         else []
     )
-    if encoding is Encoding.CC:
-        return _cc_recourse(
-            initial_pairs, enforced, u, pool, graph, policy, lifted
-        )
-    return _picef_recourse(
-        initial_pairs, enforced, u, pool, graph, policy, lifted, max_chain_len
-    )
-
-
-def _cc_recourse(initial_pairs, enforced, u, pool, graph, policy, lifted):
     model = MilpModel("max", integral_objective=True)
     nv = graph.num_vertices
+    picef = encoding is Encoding.PICEF
     y_vars: Dict[int, int] = {}
-    for e in pool.exchanges:
+    for e in pool.cycles if picef else pool.exchanges:
         w = exchange_weight(e, initial_pairs)
         if lifted:
             obj = float(w * nv + 1) if not u.hits(e) else 1.0
         else:
             obj = float(w)
         y_vars[e.index] = model.add_variable(BINARY, obj=obj)
-    for j in range(graph.num_vertices):
-        involved = pool.involving(j)
-        if not involved:
-            continue
-        rhs = 1.0 if lifted else (0.0 if j in u.attacked else 1.0)
-        model.add_row([(y_vars[i], 1.0) for i in involved], LESS_EQUAL, rhs)
     rec = RecourseHandle(
-        model, graph, pool, policy, Encoding.CC, lifted, u, initial_pairs, y_vars
+        model, graph, pool, policy, encoding, lifted, u, initial_pairs, y_vars
     )
-    rec.enforced = enforced
-    for e in enforced:
-        model.fix(y_vars[e.index], 1.0)
-    return rec
 
-
-def _picef_recourse(initial_pairs, enforced, u, pool, graph, policy, lifted, L):
-    model = MilpModel("max", integral_objective=True)
-    nv = graph.num_vertices
-    arcs = picef_positions(graph, L)
-    y_vars: Dict[int, int] = {}
-    for c in pool.cycles:
-        w = exchange_weight(c, initial_pairs)
-        if lifted:
-            obj = float(w * nv + 1) if not u.hits(c) else 1.0
-        else:
-            obj = float(w)
-        y_vars[c.index] = model.add_variable(BINARY, obj=obj)
-
-    rec = RecourseHandle(
-        model, graph, pool, policy, Encoding.PICEF, lifted, u, initial_pairs, y_vars
-    )
-    rec.enforced = enforced
-
-    if not lifted:
-        psi = {a: model.add_variable(BINARY, obj=float(arc_weight(a.dst, initial_pairs))) for a in arcs}
-        rec.psi_pos_vars = psi
-        _picef_structure_rows(
-            model,
-            graph,
-            pool,
-            arcs,
-            y_vars,
-            psi,
-            L,
-            rhs=lambda j: 0.0 if j in u.attacked else 1.0,
-        )
-    else:
-        eta = {a: model.add_variable(BINARY, obj=1.0) for a in arcs}
-        rec.eta_vars = eta
-        psi_arc: Dict[Arc, int] = {}
-        for (i, j) in graph.arcs:
-            if not any((a.src, a.dst) == (i, j) for a in arcs):
-                continue
-            w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
-            psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
-        rec.psi_arc_vars = psi_arc
-        _picef_structure_rows(
-            model, graph, pool, arcs, y_vars, eta, L, rhs=lambda j: 1.0
-        )
-        for (i, j), pv in psi_arc.items():
-            eta_here = [eta[a] for a in arcs if (a.src, a.dst) == (i, j)]
-            model.add_row(
-                [(pv, 1.0)] + [(v, -1.0) for v in eta_here], LESS_EQUAL, 0.0
+    # the PICEF chain variables: psi (plain), or eta for the full-graph chains
+    # plus psi per graph arc for their unattacked part (lifted)
+    arcs: Dict[PicefArc, int] = {}
+    if picef:
+        arcs = {
+            a: model.add_variable(
+                BINARY, obj=1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
             )
-        for j in graph.pairs:
-            inc = [(pv, 1.0) for (a, b), pv in psi_arc.items() if b == j]
-            if inc:
-                model.add_row(
-                    inc, LESS_EQUAL, 0.0 if j in u.attacked else 1.0
-                )
-            out = [(pv, 1.0) for (a, b), pv in psi_arc.items() if a == j]
-            if out:
-                model.add_row(
-                    out + [(pv, -1.0) for (a, b), pv in psi_arc.items() if b == j],
-                    LESS_EQUAL,
-                    0.0,
-                )
-        for n in graph.ndds:
-            out = [(pv, 1.0) for (a, b), pv in psi_arc.items() if a == n]
-            if out:
-                model.add_row(out, LESS_EQUAL, 0.0 if n in u.attacked else 1.0)
+            for a in pool.picef_arcs
+        }
+    _packing_rows(model, pool, graph, y_vars, arcs, () if lifted else u.attacked)
+    psi_arc = rec.psi_arc_vars
+    if picef and not lifted:
+        rec.psi_pos_vars = arcs
+    elif picef:
+        rec.eta_vars = arcs
+        for (i, j) in graph.arcs:
+            if pool.arcs_on(i, j):
+                w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
+                psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
+        # psi_ij needs eta on (i, j), and the psi arcs form chains that use no
+        # attacked vertex
+        for (i, j), pv in psi_arc.items():
+            _at_most(model, [pv], [arcs[a] for a in pool.arcs_on(i, j)])
+        for j in range(nv):
+            cover = _arc_cover(graph, j, psi_arc)
+            if cover:
+                rhs = _room(u.attacked, j)
+                model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, rhs)
+            if graph.is_pair(j):
+                out = [psi_arc[(j, k)] for k in graph.out_adj[j] if (j, k) in psi_arc]
+                _at_most(model, out, cover)
 
     # FSE: lock in the enforced structures and forbid extending their chains
     for e in enforced:
-        if e.kind is ExchangeKind.CYCLE:
+        if not picef or e.kind is ExchangeKind.CYCLE:
             model.fix(y_vars[e.index], 1.0)
             continue
         last = e.vertices[-1]
-        if not lifted:
-            for pos, (i, j) in enumerate(e.arcs, start=1):
-                model.fix(rec.psi_pos_vars[PicefArc(i, j, pos)], 1.0)
-            for a in arcs:
-                if a.src == last:
-                    model.fix(rec.psi_pos_vars[a], 0.0)
+        if lifted:
+            for arc in e.arcs:
+                model.fix(psi_arc[arc], 1.0)
+            for k in graph.out_adj[last]:
+                if (last, k) in psi_arc:
+                    model.fix(psi_arc[(last, k)], 0.0)
         else:
-            for (i, j) in e.arcs:
-                model.fix(rec.psi_arc_vars[(i, j)], 1.0)
-            for (i, j), pv in rec.psi_arc_vars.items():
-                if i == last:
-                    model.fix(pv, 0.0)
-            # the cut solution must hold the enforced chain itself, not an
-            # extension of it, or its cut credits nothing for the chain
-            for a in arcs:
-                if a.src == last:
-                    model.fix(rec.eta_vars[a], 0.0)
+            for pos, (i, j) in enumerate(e.arcs, start=1):
+                model.fix(arcs[PicefArc(i, j, pos)], 1.0)
+        # lifted, this fixes eta: the cut solution must hold the enforced chain
+        # itself, not an extension of it, or its cut credits nothing for it
+        for a in pool.arcs_out_of(last):
+            model.fix(arcs[a], 0.0)
     return rec
 
 
@@ -744,34 +593,27 @@ def extract_cut_solution(
     """Full solution for the next interdiction cut and its true recourse value
     (the weight of its non-attacked part)."""
     pool, u = rec.pool, rec.u
-    selected = [i for i, v in rec.y_vars.items() if outcome.value(v) > 0.5]
+
+    def chosen(var_map):
+        return [key for key, v in var_map.items() if outcome.value(v) > 0.5]
+
+    selected = chosen(rec.y_vars)
     value = sum(
         exchange_weight(pool.exchange(i), rec.initial_pairs)
         for i in selected
         if not u.hits(pool.exchange(i))
     )
-    if rec.encoding is Encoding.CC:
-        sol = KepSolution.of(selected)
-    else:
+    if rec.encoding is Encoding.PICEF:
+        # lifted: eta holds the full-graph chains and psi their unattacked part
+        chain_arcs = chosen(rec.eta_vars if rec.lifted else rec.psi_pos_vars)
         if rec.lifted:
-            chain_arcs = [a for a, v in rec.eta_vars.items() if outcome.value(v) > 0.5]
-            value += sum(
-                arc_weight(j, rec.initial_pairs)
-                for (i, j), v in rec.psi_arc_vars.items()
-                if outcome.value(v) > 0.5
-            )
+            heads = [j for (i, j) in chosen(rec.psi_arc_vars)]
         else:
-            chain_arcs = [
-                a for a, v in rec.psi_pos_vars.items() if outcome.value(v) > 0.5
-            ]
-            value += sum(
-                arc_weight(a.dst, rec.initial_pairs)
-                for a, v in rec.psi_pos_vars.items()
-                if outcome.value(v) > 0.5
-            )
+            heads = [a.dst for a in chain_arcs]
+        value += sum(arc_weight(j, rec.initial_pairs) for j in heads)
         for verts in assemble_chains(chain_arcs):
             selected.append(pool.index_of(Exchange(ExchangeKind.CHAIN, verts)))
-        sol = KepSolution.of(selected)
+    sol = KepSolution.of(selected)
     if not sol.is_feasible(pool):
         raise RuntimeError("recourse model produced overlapping exchanges")
     return sol, value

@@ -31,8 +31,22 @@ def _parse_json(text: str) -> CompatibilityGraph:
     for key in ("pairs", "ndds", "arcs"):
         if key not in data:
             raise ValueError(f"JSON instance missing key {key!r}")
-    arcs = tuple((int(i), int(j)) for i, j in data["arcs"])
-    return CompatibilityGraph(int(data["pairs"]), int(data["ndds"]), arcs)
+    pairs, ndds = data["pairs"], data["ndds"]
+    try:
+        pairs, ndds = int(pairs), int(ndds)
+    except (TypeError, ValueError):
+        raise ValueError(f"non-integer JSON vertex counts {pairs!r} {ndds!r}") from None
+    if not isinstance(data["arcs"], list):
+        raise ValueError(f"JSON 'arcs' must be a list, got {data['arcs']!r}")
+    arcs = []
+    for entry in data["arcs"]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"malformed JSON arc {entry!r}: expected [src, dst]")
+        try:
+            arcs.append((int(entry[0]), int(entry[1])))
+        except (TypeError, ValueError):
+            raise ValueError(f"non-integer JSON arc {entry!r}") from None
+    return CompatibilityGraph(pairs, ndds, tuple(arcs))
 
 
 def _parse_kep(text: str) -> CompatibilityGraph:

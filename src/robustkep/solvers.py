@@ -19,7 +19,6 @@ from .core import (
     Attack,
     CompatibilityGraph,
     Exchange,
-    ExchangeKind,
     ExchangePool,
     KepSolution,
     Policy,
@@ -90,6 +89,7 @@ class RobustResult:
     status: str
     stats: RobustStats
     attack_set: List[Attack] = field(default_factory=list)
+    exchanges: List[Exchange] = field(default_factory=list)  # the plan's, in order
 
 
 class _Clock:
@@ -127,7 +127,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
         cfg.policy,
         cfg.encoding,
         [Attack.of((), cfg.budget)],
-        max_chain_len=cfg.max_chain_len,
     )
     best = RobustResult(
         0, KepSolution.empty(), Attack.of((), cfg.budget), "timelimit", stats
@@ -165,6 +164,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     stats.n_attacks = len(master.blocks)
     stats.time_total = clock.elapsed()
     best.attack_set = [b.attack for b in master.blocks]
+    best.exchanges = best.initial.exchanges(pool)
     return best
 
 
@@ -185,7 +185,6 @@ def _solve_subproblem(
             cfg.policy,
             cfg.encoding,
             cfg.budget,
-            max_chain_len=cfg.max_chain_len,
             lifting=cfg.lifting,
             early_exit=cfg.early_exit,
             master_value=master_value,
@@ -199,7 +198,6 @@ def _solve_subproblem(
             graph,
             cfg.policy,
             cfg.budget,
-            max_chain_len=cfg.max_chain_len,
             early_exit=cfg.early_exit,
             master_value=master_value,
             clock=clock,
@@ -217,7 +215,6 @@ def solve_attack_subproblem_cuttingplane(
     policy: Policy,
     encoding: Encoding,
     budget: int,
-    max_chain_len: int,
     lifting: bool = True,
     early_exit: bool = False,
     master_value: Optional[int] = None,
@@ -252,7 +249,6 @@ def solve_attack_subproblem_cuttingplane(
             policy,
             encoding,
             lifted=lifting,
-            max_chain_len=max_chain_len,
         )
         rec_out = rec.model.solve(clock.remaining())
         stats.time_stage3 += time.perf_counter() - t0
@@ -273,7 +269,6 @@ def solve_attack_subproblem_bb(
     graph: CompatibilityGraph,
     policy: Policy,
     budget: int,
-    max_chain_len: int,
     early_exit: bool = False,
     master_value: Optional[int] = None,
     clock: Optional[_Clock] = None,
@@ -332,7 +327,6 @@ def solve_attack_subproblem_bb(
             policy,
             Encoding.CC,
             lifted=False,
-            max_chain_len=max_chain_len,
         )
         out = rec.model.solve(clock.remaining())
         stats.time_stage3 += time.perf_counter() - t0

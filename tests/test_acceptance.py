@@ -234,7 +234,7 @@ def test_criterion_5_lifting(suite):
                     z_sub = out.int_objective()
                     u = extract_attack(sub, out)
                     rec = build_recourse(
-                        x, u, pool, graph, policy, encoding, True, L
+                        x, u, pool, graph, policy, encoding, True
                     )
                     lifted_sol, r = extract_cut_solution(rec, rec.model.solve())
                     lifted = _cut_coefficients(

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -7,9 +8,11 @@ from robustkep import (
     Encoding,
     Policy,
     RobustConfig,
+    build_pool,
     generate_instance,
     parse_instance,
     render_instance,
+    solve_robust,
 )
 from robustkep.bench import (
     BenchRecord,
@@ -58,6 +61,21 @@ class TestInstanceFormats:
     def test_json_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             parse_instance('{"pairs": 2, "arcs": []}')
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"arcs": [1, 2]}, "malformed JSON arc 1"),
+            ({"arcs": None}, "'arcs' must be a list, got None"),
+            ({"arcs": [[0, 1, 2]]}, r"malformed JSON arc \[0, 1, 2\]"),
+            ({"arcs": [[0, "x"]]}, r"non-integer JSON arc \[0, 'x'\]"),
+            ({"pairs": None}, "non-integer JSON vertex counts None 0"),
+        ],
+    )
+    def test_json_malformed(self, fields, match):
+        data = {"pairs": 2, "ndds": 0, "arcs": [], **fields}
+        with pytest.raises(ValueError, match=match):
+            parse_instance(json.dumps(data))
 
 
 class TestGenerator:
@@ -275,4 +293,15 @@ class TestCli:
         inst = tmp_path / "g.json"
         inst.write_text('{"pairs": 3, "ndds": 1, "arcs": [[3,0],[0,1],[1,2],[2,1]]}')
         assert main(["solve", "--input", str(inst), "--budget", "1"]) == 0
-        assert "objective: 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "objective: 1" in out
+        # the printed plan is the plan solve_robust returns for the same config
+        graph = parse_instance(inst.read_text())
+        result = solve_robust(graph, RobustConfig(3, 3, 1))
+        assert result.exchanges == result.initial.exchanges(build_pool(graph, 3, 3))
+        printed = [ln.strip() for ln in out.splitlines() if ln.startswith("  ")]
+        expected = [
+            f"{e.kind.value}: {' '.join(map(str, e.vertices))}"
+            for e in result.exchanges
+        ]
+        assert expected and printed == expected

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from robustkep import (
@@ -10,6 +12,7 @@ from robustkep import (
     build_pool,
     enumerate_chains,
     enumerate_cycles,
+    generate_instance,
     picef_positions,
 )
 from robustkep.core import (
@@ -89,15 +92,31 @@ class TestEnumeration:
         ]
 
     def test_picef_positions_cross_check(self):
-        # every (arc, position) on an enumerated chain must be generated
-        for L in range(0, 4):
-            arcs = set(picef_positions(CHAIN_GRAPH, L))
-            from_chains = {
-                PicefArc(i, j, pos)
-                for d in enumerate_chains(CHAIN_GRAPH, L)
-                for pos, (i, j) in enumerate(d.arcs, start=1)
-            }
-            assert from_chains <= arcs
+        # the pool derives its PICEF arcs from its chains; that must be
+        # exactly picef_positions, and each lookup a filter of that list
+        positions = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            graph = generate_instance(
+                rng.randint(2, 7), rng.randint(1, 3), rng.uniform(0.2, 0.6), seed=seed
+            )
+            for L in range(0, 5):
+                pool = build_pool(graph, 3, L)
+                arcs = pool.picef_arcs
+                assert arcs == picef_positions(graph, L)
+                positions.update(a.pos for a in arcs)
+                for v in range(graph.num_vertices):
+                    assert pool.arcs_into(v) == [a for a in arcs if a.dst == v]
+                    assert pool.arcs_out_of(v) == [a for a in arcs if a.src == v]
+                    for pos in range(1, L + 2):
+                        assert pool.arcs_out_of(v, pos) == [
+                            a for a in arcs if a.src == v and a.pos == pos
+                        ]
+                for (i, j) in graph.arcs:
+                    assert pool.arcs_on(i, j) == [
+                        a for a in arcs if (a.src, a.dst) == (i, j)
+                    ]
+        assert positions == {1, 2, 3, 4}
 
 
 class TestExchange:
@@ -202,9 +221,7 @@ class TestFixSuccessfulConstructs:
 
     def test_surviving_structures(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
-        survivors, per_vertex = surviving_structures(
-            pool, KepSolution.empty(), Attack.of([2], 1)
-        )
+        survivors, per_vertex = surviving_structures(pool, Attack.of([2], 1))
         cycle = pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))
         full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
         assert cycle not in survivors and full not in survivors

@@ -70,7 +70,7 @@ class TestMaster:
     def test_zero_attack_is_plain_kep(self, policy, encoding):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         master = build_master(
-            pool, CHAIN_GRAPH, policy, encoding, [Attack.of((), 1)], max_chain_len=3
+            pool, CHAIN_GRAPH, policy, encoding, [Attack.of((), 1)]
         )
         out = master.model.solve()
         assert out.int_objective() == 3
@@ -86,7 +86,6 @@ class TestMaster:
             Policy.FULL_RECOURSE,
             encoding,
             [Attack.of((), 1), Attack.of([0], 1)],
-            max_chain_len=3,
         )
         # losing pair 0 always costs it, but pairs 1,2 survive via their cycle
         assert master.model.solve().int_objective() == 2
@@ -95,26 +94,16 @@ class TestMaster:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         with pytest.raises(ValueError, match="zero attack"):
             build_master(
-                pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, [], 3
+                pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, []
             )
 
     def test_duplicate_attack_rejected(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         master = build_master(
-            pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, [Attack.of((), 1)], 3
+            pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, [Attack.of((), 1)]
         )
         with pytest.raises(ValueError, match="already registered"):
             extend_master_with_attack(master, Attack.of((), 1))
-
-    def test_policy_mismatch_rejected(self):
-        pool = build_pool(CHAIN_GRAPH, 3, 3)
-        master = build_master(
-            pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, [Attack.of((), 1)], 3
-        )
-        with pytest.raises(ValueError, match="policy mismatch"):
-            extend_master_with_attack(
-                master, Attack.of([1], 1), policy=Policy.FIX_SUCCESSFUL
-            )
 
 
 class TestSubproblemStrength:
@@ -216,7 +205,7 @@ class TestRecourse:
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
             rec = build_recourse(
-                x, u, pool, graph, policy, encoding, lifted=lifted, max_chain_len=3
+                x, u, pool, graph, policy, encoding, lifted=lifted
             )
             out = rec.model.solve()
             sol, value = extract_cut_solution(rec, out)
@@ -238,7 +227,7 @@ class TestRecourse:
         u = Attack.of([2], 1)
         policy = Policy.FIX_SUCCESSFUL
         rec = build_recourse(
-            x, u, pool, CHAIN_GRAPH, policy, encoding, lifted=lifted, max_chain_len=3
+            x, u, pool, CHAIN_GRAPH, policy, encoding, lifted=lifted
         )
         sol, value = extract_cut_solution(rec, rec.model.solve())
         assert value == 1
@@ -261,7 +250,6 @@ class TestRecourse:
                 policy=Policy.FIX_SUCCESSFUL,
                 encoding=encoding,
                 lifted=False,
-                max_chain_len=3,
             )
             sol, value = extract_cut_solution(rec, rec.model.solve())
             # the prefix (3,0,1) is locked in and cannot be extended

@@ -98,7 +98,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_cuttingplane(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, encoding, 1, max_chain_len=3
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, encoding, 1
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
@@ -107,7 +107,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1, max_chain_len=3
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
@@ -117,11 +117,11 @@ class TestSubproblemSolvers:
         x = full_chain_solution(pool)
         full, early = RobustStats(), RobustStats()
         solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1, max_chain_len=3,
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1,
             stats=full,
         )
         s, _ = solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1, max_chain_len=3,
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1,
             early_exit=True, master_value=3, stats=early,
         )
         assert s < 3
@@ -132,7 +132,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_cuttingplane(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, 0, max_chain_len=3
+            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, 0
         )
         assert s == 3 and u.attacked == frozenset()
 
@@ -145,7 +145,6 @@ class TestSubproblemSolvers:
             Policy.FULL_RECOURSE,
             Encoding.CC,
             1,
-            max_chain_len=3,
         )
         assert s == 0
 
@@ -154,7 +153,7 @@ class TestSubproblemSolvers:
         pool = build_pool(g, 2, 0)
         x = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CYCLE, (0, 1)))])
         s, _ = solve_attack_subproblem_bb(
-            x, pool, g, Policy.FULL_RECOURSE, 1, max_chain_len=0
+            x, pool, g, Policy.FULL_RECOURSE, 1
         )
         assert s == 0
 
@@ -180,10 +179,10 @@ class TestSubproblemSolvers:
             x = KepSolution.of(chosen)
             expected, _ = brute_force_attack(x, pool, g, policy, 2)
             s_cut, _ = solve_attack_subproblem_cuttingplane(
-                x, pool, g, policy, encoding, 2, max_chain_len=3
+                x, pool, g, policy, encoding, 2
             )
             s_bb, _ = solve_attack_subproblem_bb(
-                x, pool, g, policy, 2, max_chain_len=3
+                x, pool, g, policy, 2
             )
             assert s_cut == expected
             assert s_bb == expected
