@@ -37,7 +37,6 @@ class BenchRecord:
     n_attacks: int
     n_subproblems: int
     bb_nodes: int
-    seed: Optional[int]
 
     def __post_init__(self):
         if self.status not in ("optimal", "timelimit"):
@@ -71,7 +70,7 @@ def record_from_row(row: Sequence[str]) -> BenchRecord:
         raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
     vals: Dict[str, object] = {}
     for name, raw in zip(CSV_FIELDS, row):
-        if name in ("objective", "seed"):
+        if name == "objective":
             vals[name] = None if raw == "" else int(raw)
         elif name == "lifting":
             vals[name] = raw == "on"
@@ -96,8 +95,15 @@ def read_records(stream: TextIO) -> List[BenchRecord]:
     rows = [r for r in reader if r]
     if not rows:
         return []
-    if rows[0] == CSV_FIELDS:
-        rows = rows[1:]
+    if rows[0][:1] == [CSV_FIELDS[0]]:
+        header = rows.pop(0)
+        if header != CSV_FIELDS:
+            missing = [f for f in CSV_FIELDS if f not in header]
+            unexpected = [f for f in header if f not in CSV_FIELDS]
+            raise ValueError(
+                f"CSV header differs from {len(CSV_FIELDS)} columns: "
+                f"missing {missing}, unexpected {unexpected}"
+            )
     return [record_from_row(r) for r in rows]
 
 
@@ -136,7 +142,6 @@ def run_matrix(
                 n_attacks=result.stats.n_attacks,
                 n_subproblems=result.stats.n_subproblems,
                 bb_nodes=result.stats.bb_nodes,
-                seed=cfg.seed,
             )
             records.append(rec)
             if writer is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import List, Optional
 
@@ -46,7 +47,6 @@ def _add_config_flags(p: argparse.ArgumentParser, multi: bool) -> None:
     p.add_argument("--method", default="cut", help=f"cut|bb|oracle{note}")
     p.add_argument("--lifting", default="on", help=f"on|off{note}")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _flag(raw: str) -> bool:
@@ -56,28 +56,25 @@ def _flag(raw: str) -> bool:
 
 
 def _configs(args: argparse.Namespace) -> List[RobustConfig]:
-    configs = []
-    for k in args.cycle_len.split(","):
-        for length in args.chain_len.split(","):
-            for b in args.budget.split(","):
-                for pol in args.policy.split(","):
-                    for enc in args.formulation.split(","):
-                        for method in args.method.split(","):
-                            for lift in args.lifting.split(","):
-                                configs.append(
-                                    RobustConfig(
-                                        max_cycle_len=int(k),
-                                        max_chain_len=int(length),
-                                        budget=int(b),
-                                        policy=Policy(pol),
-                                        encoding=Encoding(enc),
-                                        subproblem_method=method,
-                                        lifting=_flag(lift),
-                                        time_limit=args.time_limit,
-                                        seed=args.seed,
-                                    )
-                                )
-    return configs
+    lists = [
+        args.cycle_len, args.chain_len, args.budget, args.policy,
+        args.formulation, args.method, args.lifting,
+    ]
+    return [
+        RobustConfig(
+            max_cycle_len=int(k),
+            max_chain_len=int(length),
+            budget=int(b),
+            policy=Policy(pol),
+            encoding=Encoding(enc),
+            subproblem_method=method,
+            lifting=_flag(lift),
+            time_limit=args.time_limit,
+        )
+        for k, length, b, pol, enc, method, lift in itertools.product(
+            *(raw.split(",") for raw in lists)
+        )
+    ]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

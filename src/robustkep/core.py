@@ -9,6 +9,12 @@ post-attack solution).
 ``ExchangePool`` is the one index every model builder reads: the exchanges
 through each vertex, and the PICEF arcs derived once from the pool's own
 chains, looked up by head, by tail (and position) and by graph arc.
+
+The fix-successful-exchanges (FSE) policy rests on one rule, written once in
+``_kept``: an attack keeps a planned cycle only if the cycle is untouched, and
+keeps a planned chain's prefix up to its first attacked vertex, provided that
+prefix still holds an arc.  ``surviving_structures``, ``enforced_under_attack``,
+``enforceable_set`` and ``longest_unattacked_prefix`` all derive from it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 Arc = Tuple[int, int]
 
@@ -48,6 +54,11 @@ class CompatibilityGraph:
     arcs: Tuple[Arc, ...]
 
     def __post_init__(self):
+        if self.num_pairs < 0 or self.num_ndds < 0:
+            raise ValueError(
+                f"negative vertex count: num_pairs={self.num_pairs}, "
+                f"num_ndds={self.num_ndds}"
+            )
         n = self.num_pairs + self.num_ndds
         seen = set()
         for (i, j) in self.arcs:
@@ -386,40 +397,32 @@ class Attack:
         return any(v in self.attacked for v in e.vertices)
 
 
-def subchain_to(chain: Exchange, j: int) -> Exchange:
-    """Smallest nonempty prefix of ``chain`` containing vertex j.
+def _kept(e: Exchange, attacked: Collection[int]) -> int:
+    """The FSE survival rule: how many of ``e``'s leading vertices an attack
+    leaves enforced, 0 for none.
 
-    For the chain's NDD this is the first arc; for a pair j it is the prefix
-    ending at j.
+    A cycle is kept only whole.  A chain keeps its vertices before the first
+    attacked one, provided they still hold an arc.
     """
-    if chain.kind is not ExchangeKind.CHAIN:
-        raise ValueError("subchain_to expects a chain")
-    if j not in chain.vertices:
-        raise ValueError(f"vertex {j} not in chain {chain.vertices}")
-    if j == chain.vertices[0]:
-        return Exchange(ExchangeKind.CHAIN, chain.vertices[:2])
-    end = chain.vertices.index(j)
-    return Exchange(ExchangeKind.CHAIN, chain.vertices[: end + 1])
-
-
-def prefix_subchains(chain: Exchange) -> List[Exchange]:
-    """sub(d): the prefixes of ``chain`` ending at each of its pairs."""
-    return [subchain_to(chain, j) for j in chain.vertices[1:]]
+    n = next((k for k, v in enumerate(e.vertices) if v in attacked), len(e.vertices))
+    if n < 2 or (e.kind is ExchangeKind.CYCLE and n < len(e.vertices)):
+        return 0
+    return n
 
 
 def enforceable_set(initial: KepSolution, pool: ExchangePool) -> List[Exchange]:
-    """Initial cycles plus every prefix subchain of the initial chains.
+    """Everything the FSE rule can keep of the initial exchanges under some
+    attack: the initial cycles and every prefix of an initial chain that ends
+    at a pair.
 
     Exchanges carry their pool index.  Deterministic order (by pool index).
     """
-    out: Dict[Tuple[ExchangeKind, Tuple[int, ...]], Exchange] = {}
+    found: Set[int] = set()
     for e in initial.exchanges(pool):
-        if e.kind is ExchangeKind.CYCLE:
-            out[e.key()] = e
-        else:
-            for p in prefix_subchains(e):
-                out[p.key()] = pool.exchange(pool.index_of(p))
-    return sorted(out.values(), key=lambda e: e.index)
+        attacks = [()] + [(v,) for v in e.vertices]  # none, or one vertex
+        for n in {_kept(e, a) for a in attacks} - {0}:
+            found.add(pool.index_of(Exchange(e.kind, e.vertices[:n])))
+    return [pool.exchange(i) for i in sorted(found)]
 
 
 def surviving_structures(
@@ -428,20 +431,18 @@ def surviving_structures(
     """(E_u, I_u): surviving exchange indices, and per vertex j the exchanges
     that would leave an enforced (partial) structure covering j under u.
 
-    I_u[j] contains surviving cycles through j plus chains d through j whose
-    prefix up to j has no attacked vertex.
+    I_u[j] contains the exchanges through j whose part kept by the FSE rule
+    still holds j: surviving cycles, and chains whose prefix up to j (at least
+    the first arc) has no attacked vertex.
     """
-    survivors = {e.index for e in pool.exchanges if not u.hits(e)}
+    survivors: Set[int] = set()
     per_vertex: Dict[int, Set[int]] = {}
     for e in pool.exchanges:
-        for j in e.vertices:
-            if e.kind is ExchangeKind.CYCLE:
-                ok = e.index in survivors
-            else:  # the prefix up to j, at least the first arc, is unattacked
-                end = max(e.vertices.index(j), 1)
-                ok = not any(v in u.attacked for v in e.vertices[: end + 1])
-            if ok:
-                per_vertex.setdefault(j, set()).add(e.index)
+        n = _kept(e, u.attacked)
+        if n == len(e.vertices):
+            survivors.add(e.index)
+        for j in e.vertices[:n]:
+            per_vertex.setdefault(j, set()).add(e.index)
     return survivors, per_vertex
 
 
@@ -460,14 +461,8 @@ def longest_unattacked_prefix(chain: Exchange, u: Attack) -> Optional[Exchange]:
 
     This is the part of an initial chain that the FSE policy enforces.
     """
-    best: Optional[Exchange] = None
-    if chain.vertices[0] in u.attacked:
-        return None
-    for p in prefix_subchains(chain):
-        if any(v in u.attacked for v in p.vertices):
-            break
-        best = p
-    return best
+    n = _kept(chain, u.attacked)
+    return Exchange(chain.kind, chain.vertices[:n]) if n else None
 
 
 def enforced_under_attack(
@@ -478,13 +473,10 @@ def enforced_under_attack(
     """
     enforced: List[Exchange] = []
     for e in initial.exchanges(pool):
-        if e.kind is ExchangeKind.CYCLE:
-            if not u.hits(e):
-                enforced.append(e)
-        else:
-            p = longest_unattacked_prefix(e, u)
-            if p is not None:
-                enforced.append(pool.exchange(pool.index_of(p)))
+        n = _kept(e, u.attacked)
+        if n:
+            kept = Exchange(e.kind, e.vertices[:n])
+            enforced.append(pool.exchange(pool.index_of(kept)))
     return enforced
 
 

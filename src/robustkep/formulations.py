@@ -392,8 +392,9 @@ def build_subproblem(
         if not fse:
             _survival_rows(model, z, e.vertices, u_vars)
         elif not picef:
+            touching = {t for v in e.vertices for t in pool.involving(v)}
             overlap = [] if e.index in enf_idx else [
-                sub.z_vars[t.index] for t in enf if set(t.vertices) & set(e.vertices)
+                sub.z_vars[t] for t in sorted(touching & enf_idx)
             ]
             _survival_rows(model, z, e.vertices, u_vars, overlap, exact=True)
         elif e.index in enf_idx:
@@ -492,9 +493,10 @@ class RecourseHandle:
     u: Attack
     initial_pairs: Set[int]
     y_vars: Dict[int, int]
-    psi_pos_vars: Dict[PicefArc, int] = field(default_factory=dict)
+    # the PICEF arc variables: psi (plain), or eta for the full-graph chains
+    # (lifted), whose unattacked part is psi per graph arc
+    picef_vars: Dict[PicefArc, int] = field(default_factory=dict)
     psi_arc_vars: Dict[Arc, int] = field(default_factory=dict)
-    eta_vars: Dict[PicefArc, int] = field(default_factory=dict)
 
 
 def build_recourse(
@@ -532,22 +534,14 @@ def build_recourse(
         model, graph, pool, policy, encoding, lifted, u, initial_pairs, y_vars
     )
 
-    # the PICEF chain variables: psi (plain), or eta for the full-graph chains
-    # plus psi per graph arc for their unattacked part (lifted)
-    arcs: Dict[PicefArc, int] = {}
+    arcs = rec.picef_vars
     if picef:
-        arcs = {
-            a: model.add_variable(
-                BINARY, obj=1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
-            )
-            for a in pool.picef_arcs
-        }
+        for a in pool.picef_arcs:
+            w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
+            arcs[a] = model.add_variable(BINARY, obj=w)
     _packing_rows(model, pool, graph, y_vars, arcs, () if lifted else u.attacked)
     psi_arc = rec.psi_arc_vars
-    if picef and not lifted:
-        rec.psi_pos_vars = arcs
-    elif picef:
-        rec.eta_vars = arcs
+    if picef and lifted:
         for (i, j) in graph.arcs:
             if pool.arcs_on(i, j):
                 w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
@@ -605,7 +599,7 @@ def extract_cut_solution(
     )
     if rec.encoding is Encoding.PICEF:
         # lifted: eta holds the full-graph chains and psi their unattacked part
-        chain_arcs = chosen(rec.eta_vars if rec.lifted else rec.psi_pos_vars)
+        chain_arcs = chosen(rec.picef_vars)
         if rec.lifted:
             heads = [j for (i, j) in chosen(rec.psi_arc_vars)]
         else:

@@ -260,32 +260,6 @@ class MilpModel:
             lp_iters,
         )
 
-    # -- debugging -------------------------------------------------------
-
-    def write_lp(self) -> str:
-        """Model in LP text format, for external cross-checking."""
-        out = ["Maximize" if self.sense == "max" else "Minimize"]
-        terms = " + ".join(
-            f"{self.obj[i]} x{i}" for i in range(self.num_variables) if self.obj[i]
-        )
-        out.append(f" obj: {terms if terms else '0 x0'}")
-        out.append("Subject To")
-        rel = {LESS_EQUAL: "<=", GREATER_EQUAL: ">=", EQUAL: "="}
-        for k, row in enumerate(self.rows):
-            lhs = " + ".join(f"{coef} x{var}" for var, coef in row.coeffs) or "0 x0"
-            out.append(f" r{k}: {lhs} {rel[row.relation]} {row.rhs}")
-        out.append("Bounds")
-        for i in range(self.num_variables):
-            lo = self.fixings.get(i, self.lb[i])
-            hi = self.fixings.get(i, self.ub[i])
-            out.append(f" {lo} <= x{i} <= {hi}")
-        bins = [i for i, k in enumerate(self.kinds) if k == BINARY]
-        if bins:
-            out.append("Binaries")
-            out.append(" " + " ".join(f"x{i}" for i in bins))
-        out.append("End")
-        return "\n".join(out) + "\n"
-
 
 # -- node LPs ---------------------------------------------------------------
 #

@@ -59,9 +59,7 @@ class RobustConfig:
     encoding: Encoding = Encoding.CC
     subproblem_method: str = METHOD_CUT
     lifting: bool = True
-    early_exit: bool = True
     time_limit: Optional[float] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.max_cycle_len < 0 or self.max_chain_len < 0 or self.budget < 0:
@@ -88,7 +86,6 @@ class RobustResult:
     worst_attack: Attack
     status: str
     stats: RobustStats
-    attack_set: List[Attack] = field(default_factory=list)
     exchanges: List[Exchange] = field(default_factory=list)  # the plan's, in order
 
 
@@ -163,7 +160,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
         best.status = "timelimit"
     stats.n_attacks = len(master.blocks)
     stats.time_total = clock.elapsed()
-    best.attack_set = [b.attack for b in master.blocks]
     best.exchanges = best.initial.exchanges(pool)
     return best
 
@@ -186,7 +182,6 @@ def _solve_subproblem(
             cfg.encoding,
             cfg.budget,
             lifting=cfg.lifting,
-            early_exit=cfg.early_exit,
             master_value=master_value,
             clock=clock,
             stats=stats,
@@ -198,7 +193,6 @@ def _solve_subproblem(
             graph,
             cfg.policy,
             cfg.budget,
-            early_exit=cfg.early_exit,
             master_value=master_value,
             clock=clock,
             stats=stats,
@@ -216,16 +210,16 @@ def solve_attack_subproblem_cuttingplane(
     encoding: Encoding,
     budget: int,
     lifting: bool = True,
-    early_exit: bool = False,
     master_value: Optional[int] = None,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
 ) -> Tuple[int, Attack]:
-    """Exact attack value s(x) by interdiction-cut generation.
+    """Attack value s(x) by interdiction-cut generation.
 
-    With ``early_exit`` the search stops at the first attack proven to beat
-    ``master_value``; the returned value is then an upper bound on s(x) that
-    still certifies the master solution suboptimal.
+    With ``master_value`` given, the search stops at the first attack proven
+    to beat it; the returned value is then an upper bound on s(x) that still
+    certifies the master solution suboptimal.  With ``None`` it returns the
+    exact s(x).
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
@@ -255,7 +249,7 @@ def solve_attack_subproblem_cuttingplane(
         _check(rec_out)
         stats.bb_nodes += rec_out.nodes_explored
         cut_sol, r = extract_cut_solution(rec, rec_out)
-        if early_exit and master_value is not None and r < master_value:
+        if master_value is not None and r < master_value:
             return r, u
         if r > z_sub:
             add_interdiction_cut(sub, cut_sol)
@@ -269,16 +263,17 @@ def solve_attack_subproblem_bb(
     graph: CompatibilityGraph,
     policy: Policy,
     budget: int,
-    early_exit: bool = False,
     master_value: Optional[int] = None,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
 ) -> Tuple[int, Attack]:
-    """Exact attack value by depth-first search over vertex fixings.
+    """Attack value by depth-first search over vertex fixings.
 
     Nodes carry a set of vertices fixed attacked and fixed protected; each
     node's attack is completed greedily, evaluated exactly, and the first
-    greedily chosen vertex is branched on (attacked child first).
+    greedily chosen vertex is branched on (attacked child first).  As in
+    ``solve_attack_subproblem_cuttingplane``, a given ``master_value`` stops
+    the search at the first attack below it; ``None`` gives the exact value.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
@@ -314,10 +309,10 @@ def solve_attack_subproblem_bb(
         bound = total - hit - sum(open_weights[: budget - len(a1)])
         if bound >= best_val:
             continue
-        attack_set, first_added = _greedy_fill(
+        attacked, first_added = _greedy_fill(
             a1, a0, budget, nv, init_exchanges, weights
         )
-        u = Attack.of(attack_set, budget)
+        u = Attack.of(attacked, budget)
         t0 = time.perf_counter()
         rec = build_recourse(
             initial,
@@ -335,7 +330,7 @@ def solve_attack_subproblem_bb(
         if val < best_val:
             best_val = val
             best_u = u
-            if early_exit and master_value is not None and best_val < master_value:
+            if master_value is not None and best_val < master_value:
                 return best_val, best_u
         if first_added is None:
             continue

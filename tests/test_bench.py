@@ -58,6 +58,15 @@ class TestInstanceFormats:
         with pytest.raises(ValueError, match="enters an NDD"):
             parse_instance("1 1 1\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["-2 0 0\n", '{"pairs": 2, "ndds": -1, "arcs": []}'],
+        ids=["kep", "json"],
+    )
+    def test_negative_counts_rejected(self, text):
+        with pytest.raises(ValueError, match="negative vertex count"):
+            parse_instance(text)
+
     def test_json_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             parse_instance('{"pairs": 2, "arcs": []}')
@@ -117,7 +126,6 @@ def make_record(**overrides):
         n_attacks=2,
         n_subproblems=3,
         bb_nodes=10,
-        seed=7,
     )
     base.update(overrides)
     return BenchRecord(**base)
@@ -132,7 +140,7 @@ class TestBenchRecord:
     def test_csv_round_trip(self):
         rec = make_record()
         assert record_from_row(record_to_row(rec)) == rec
-        rec2 = make_record(status="timelimit", objective=None, seed=None)
+        rec2 = make_record(status="timelimit", objective=None)
         assert record_from_row(record_to_row(rec2)) == rec2
 
     def test_stream_round_trip(self):
@@ -141,6 +149,15 @@ class TestBenchRecord:
         write_records(records, buf)
         buf.seek(0)
         assert read_records(buf) == records
+
+    def test_header_with_seed_column_rejected(self):
+        # a CSV written while the records still had a seed column
+        buf = io.StringIO()
+        write_records([make_record()], buf)
+        lines = buf.getvalue().splitlines()
+        old = [lines[0] + ",seed", lines[1] + ",7"]
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \['seed'\]"):
+            read_records(io.StringIO("\n".join(old) + "\n"))
 
 
 class TestRunMatrix:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,6 @@ from robustkep.core import (
     exchange_weight,
     longest_unattacked_prefix,
     objective_value,
-    prefix_subchains,
-    subchain_to,
     surviving_structures,
 )
 
@@ -54,6 +53,11 @@ class TestCompatibilityGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             CompatibilityGraph(2, 0, ((0, 5),))
+
+    @pytest.mark.parametrize("pairs, ndds", [(-2, 0), (3, -1)])
+    def test_negative_counts_rejected(self, pairs, ndds):
+        with pytest.raises(ValueError, match=f"num_pairs={pairs}, num_ndds={ndds}"):
+            CompatibilityGraph(pairs, ndds, ((0, 1), (1, 0)) if pairs > 0 else ())
 
     def test_adjacency(self):
         assert CHAIN_GRAPH.out_adj[1] == [2]
@@ -183,20 +187,71 @@ class TestSolutionAndAttack:
 
 
 class TestFixSuccessfulConstructs:
-    def test_subchain_to(self):
-        d = Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2))
-        assert subchain_to(d, 1).vertices == (3, 0, 1)
-        assert subchain_to(d, 3).vertices == (3, 0)
-        with pytest.raises(ValueError):
-            subchain_to(d, 9)
+    def test_rule_matches_definitions_on_random_graphs(self):
+        """One FSE rule behind all four helpers, checked against definitions
+        written out here: a cycle survives only whole, and a chain keeps each
+        prefix that ends at a pair and has no attacked vertex."""
 
-    def test_prefix_subchains(self):
-        d = Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2))
-        assert [p.vertices for p in prefix_subchains(d)] == [
-            (3, 0),
-            (3, 0, 1),
-            (3, 0, 1, 2),
-        ]
+        def prefixes(g, e):
+            vs = e.vertices
+            return [vs[:k] for k in range(1, len(vs) + 1) if g.is_pair(vs[k - 1])]
+
+        def kept(g, e, attacked):
+            if e.kind is ExchangeKind.CYCLE:
+                untouched = not set(e.vertices) & attacked
+                return [e.vertices] if untouched else []
+            return [p for p in prefixes(g, e) if not set(p) & attacked]
+
+        for seed, L in itertools.product(range(20), range(5)):
+            g = generate_instance(6, 2, 0.4, seed=seed)
+            pool = build_pool(g, 3, L)
+            rng = random.Random(f"fse-rule/{seed}/{L}")
+            initials = []
+            for _ in range(3):
+                order = list(range(len(pool)))
+                rng.shuffle(order)
+                used, chosen = set(), []
+                for i in order:
+                    if not used & set(pool.exchange(i).vertices):
+                        chosen.append(i)
+                        used.update(pool.exchange(i).vertices)
+                initials.append(KepSolution.of(chosen))
+            attacks = [
+                Attack.of(a, 2)
+                for size in range(3)
+                for a in itertools.combinations(range(g.num_vertices), size)
+            ]
+            for u in attacks:
+                survivors, per_vertex = surviving_structures(pool, u)
+                assert survivors == {
+                    e.index for e in pool.exchanges if not set(e.vertices) & u.attacked
+                }
+                expected = {}
+                for e in pool.exchanges:
+                    for j in {j for p in kept(g, e, u.attacked) for j in p}:
+                        expected.setdefault(j, set()).add(e.index)
+                assert per_vertex == expected
+                for e in pool.chains:
+                    longest = max(kept(g, e, u.attacked), key=len, default=None)
+                    prefix = longest_unattacked_prefix(e, u)
+                    assert (None if prefix is None else prefix.vertices) == longest
+            for x in initials:
+                enf = enforceable_set(x, pool)
+                # with no attack, every structure the rule can keep is kept
+                assert [e.index for e in enf] == sorted(
+                    pool.index_of(Exchange(e.kind, p))
+                    for e in x.exchanges(pool)
+                    for p in kept(g, e, set())
+                )
+                for u in attacks:
+                    got = enforced_under_attack(x, u, pool)
+                    want = [
+                        (e.kind, max(kept(g, e, u.attacked), key=len))
+                        for e in x.exchanges(pool)
+                        if kept(g, e, u.attacked)
+                    ]
+                    assert [(e.kind, e.vertices) for e in got] == want
+                    assert all(pool.exchange(e.index) == e for e in got)
 
     def test_enforceable_set(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)

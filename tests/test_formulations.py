@@ -151,7 +151,7 @@ class TestCutValidity:
     def test_cut_value_never_exceeds_recourse(self, policy, encoding):
         """At any fixed attack, the max cut value stays below the true
         recourse optimum; so every cut is a valid underestimate."""
-        rng = random.Random(hash((policy.value, encoding.value)) & 0xFFFF)
+        rng = random.Random(f"{policy.value}/{encoding.value}")
         for trial in range(12):
             graph = generate_instance(
                 rng.randint(3, 6), rng.randint(0, 2), 0.4, seed=rng.randint(0, 9999)
@@ -196,7 +196,7 @@ class TestRecourse:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("lifted", [False, True])
     def test_matches_exhaustive_recourse(self, policy, encoding, lifted):
-        rng = random.Random(hash((policy.value, encoding.value, lifted)) & 0xFFFF)
+        rng = random.Random(f"{policy.value}/{encoding.value}/{lifted}")
         for trial in range(10):
             graph = generate_instance(
                 rng.randint(3, 6), rng.randint(0, 2), 0.4, seed=rng.randint(0, 9999)

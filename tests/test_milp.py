@@ -173,11 +173,3 @@ class TestAgainstEnumeration:
                     assert first.lp_iterations == second.lp_iterations
                 support = rng.sample(range(m.num_variables), min(3, m.num_variables))
                 m.add_row([(v, 1.0) for v in support], LESS_EQUAL, 1)
-
-
-class TestLpDump:
-    def test_write_lp_mentions_all_parts(self):
-        m, _ = knapsack_model()
-        text = m.write_lp()
-        assert text.startswith("Maximize")
-        assert "Subject To" in text and "Binaries" in text and text.endswith("End\n")
