@@ -183,15 +183,6 @@ def _survival_rows(
 
 
 @dataclass
-class AttackBlock:
-    attack: Attack
-    y_vars: Dict[int, int]
-    z_vars: Dict[int, int]
-    psi_vars: Dict[PicefArc, int] = field(default_factory=dict)
-    beta_vars: Dict[Arc, int] = field(default_factory=dict)
-
-
-@dataclass
 class MasterHandle:
     model: MilpModel
     graph: CompatibilityGraph
@@ -201,10 +192,10 @@ class MasterHandle:
     z_var: int
     x_vars: Dict[int, int]
     xi_vars: Dict[PicefArc, int]
-    blocks: List[AttackBlock] = field(default_factory=list)
+    blocks: List[Attack] = field(default_factory=list)  # one block per attack
 
     def registered(self, u: Attack) -> bool:
-        return any(b.attack.attacked == u.attacked for b in self.blocks)
+        return any(b.attacked == u.attacked for b in self.blocks)
 
 
 def build_master(
@@ -239,11 +230,12 @@ def extend_master_with_attack(master: MasterHandle, u: Attack) -> MasterHandle:
     """Add the recourse variable/constraint block for one new attack."""
     if master.registered(u):
         raise ValueError(f"attack {sorted(u.attacked)} already registered")
-    master.blocks.append(_attack_block(master, u))
+    _attack_block(master, u)
+    master.blocks.append(u)
     return master
 
 
-def _attack_block(master: MasterHandle, u: Attack) -> AttackBlock:
+def _attack_block(master: MasterHandle, u: Attack) -> None:
     """Recourse solution (y, and psi in PICEF) under u; z_j <= 1 when pair j
     is covered by both it and the initial solution, and Z <= sum of z."""
     model, pool, graph = master.model, master.pool, master.graph
@@ -282,7 +274,6 @@ def _attack_block(master: MasterHandle, u: Attack) -> AttackBlock:
             model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, _room(u.attacked, j))
     if picef:
         _position_rows(model, pool, graph, psi_vars)
-    return AttackBlock(u, y_vars, z_vars, psi_vars, beta_vars)
 
 
 def _picef_beta_rows(master: MasterHandle, u: Attack, beta_vars: Dict[Arc, int]) -> None:
@@ -468,13 +459,14 @@ def solve_subproblem_at(
     sub: SubproblemHandle, u: Attack, time_limit: Optional[float] = None
 ) -> SolveOutcome:
     """Solve the subproblem with the attack fixed; used for cut validation."""
-    saved = dict(sub.model.fixings)
+    model = sub.model
+    saved = list(model.lb), list(model.ub)
     try:
         for j, v in sub.u_vars.items():
-            sub.model.fix(v, 1.0 if j in u.attacked else 0.0)
-        return sub.model.solve(time_limit)
+            model.fix(v, 1.0 if j in u.attacked else 0.0)
+        return model.solve(time_limit)
     finally:
-        sub.model.fixings = saved
+        model.lb, model.ub = saved
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +477,7 @@ def solve_subproblem_at(
 @dataclass
 class RecourseHandle:
     model: MilpModel
-    graph: CompatibilityGraph
     pool: ExchangePool
-    policy: Policy
     encoding: Encoding
     lifted: bool
     u: Attack
@@ -530,9 +520,7 @@ def build_recourse(
         else:
             obj = float(w)
         y_vars[e.index] = model.add_variable(BINARY, obj=obj)
-    rec = RecourseHandle(
-        model, graph, pool, policy, encoding, lifted, u, initial_pairs, y_vars
-    )
+    rec = RecourseHandle(model, pool, encoding, lifted, u, initial_pairs, y_vars)
 
     arcs = rec.picef_vars
     if picef:

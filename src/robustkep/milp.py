@@ -4,7 +4,10 @@ LP relaxations are solved with HiGHS; integrality is enforced by a
 deterministic depth-first branch-and-bound on fractional binaries.  Each
 solve builds one HiGHS LP and only changes column bounds from node to node,
 so the dual simplex restarts from the basis the previous node left.  Rows
-can be appended between solves (lazy cuts).  Solves stay reproducible: the
+are stored once, as they are added, in the compressed-sparse-row form the LP
+takes (column indices, coefficients and row starts, plus a lower and an upper
+bound per row), and can be appended between solves (lazy cuts); ``fix`` sets
+a variable's column bounds to its value.  Solves stay reproducible: the
 LP is built afresh in every solve and never kept, and the node order is
 fixed, so a repeated solve replays the same warm-start sequence.  When
 scipy's private HiGHS binding cannot be imported, every node is solved cold
@@ -14,9 +17,9 @@ with ``scipy.optimize.linprog`` instead, which is also the reference.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -67,13 +70,6 @@ class SolveOutcome:
         return int(rounded)
 
 
-@dataclass
-class _Row:
-    coeffs: List[Tuple[int, float]]
-    relation: str
-    rhs: float
-
-
 class MilpModel:
     """A 0-1 mixed-integer linear model with incrementally addable rows."""
 
@@ -88,8 +84,12 @@ class MilpModel:
         self.lb: List[float] = []
         self.ub: List[float] = []
         self.obj: List[float] = []
-        self.rows: List[_Row] = []
-        self.fixings: Dict[int, float] = {}
+        # the rows in CSR form: row k holds indices/data[indptr[k]:indptr[k + 1]]
+        self.indptr: List[int] = [0]
+        self.indices: List[int] = []
+        self.data: List[float] = []
+        self.row_lo: List[float] = []
+        self.row_hi: List[float] = []
 
     @property
     def num_variables(self) -> int:
@@ -97,7 +97,7 @@ class MilpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_lo)
 
     def add_variable(
         self, kind: str = BINARY, lb: float = 0.0, ub: float = 1.0, obj: float = 0.0
@@ -117,37 +117,32 @@ class MilpModel:
     ) -> int:
         if relation not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
             raise ValueError(f"unknown relation {relation!r}")
-        clean: List[Tuple[int, float]] = []
+        indices: List[int] = []
+        data: List[float] = []
         for var, coef in coeffs:
             if not 0 <= var < self.num_variables:
                 raise ValueError(f"invalid variable handle {var}")
-            clean.append((var, float(coef)))
-        self.rows.append(_Row(clean, relation, float(rhs)))
-        return len(self.rows) - 1
+            indices.append(var)
+            data.append(float(coef))
+        self.indices += indices
+        self.data += data
+        self.indptr.append(len(self.indices))
+        self.row_lo.append(-np.inf if relation == LESS_EQUAL else float(rhs))
+        self.row_hi.append(np.inf if relation == GREATER_EQUAL else float(rhs))
+        return self.num_rows - 1
 
     def fix(self, var: int, value: float) -> None:
         if not 0 <= var < self.num_variables:
             raise ValueError(f"invalid variable handle {var}")
-        self.fixings[var] = float(value)
+        self.lb[var] = self.ub[var] = float(value)
 
     # -- solving ---------------------------------------------------------
 
     def _constraint_matrix(self):
         """All rows as one CSR matrix with row lower and upper bounds."""
-        data, indices, indptr = [], [], [0]
-        row_lo = np.full(self.num_rows, -np.inf)
-        row_hi = np.full(self.num_rows, np.inf)
-        for k, r in enumerate(self.rows):
-            for var, coef in r.coeffs:
-                indices.append(var)
-                data.append(coef)
-            indptr.append(len(data))
-            if r.relation != GREATER_EQUAL:
-                row_hi[k] = r.rhs
-            if r.relation != LESS_EQUAL:
-                row_lo[k] = r.rhs
         shape = (self.num_rows, self.num_variables)
-        return csr_matrix((data, indices, indptr), shape=shape), row_lo, row_hi
+        a = csr_matrix((self.data, self.indices, self.indptr), shape=shape)
+        return a, np.array(self.row_lo), np.array(self.row_hi)
 
     def solve(self, time_limit: Optional[float] = None) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
@@ -159,11 +154,10 @@ class MilpModel:
         start = time.perf_counter()
         n = self.num_variables
         if n == 0:
+            # every row is empty, so its activity is 0
             feasible = all(
-                (r.relation == LESS_EQUAL and r.rhs >= -FEASIBILITY_TOL)
-                or (r.relation == GREATER_EQUAL and r.rhs <= FEASIBILITY_TOL)
-                or (r.relation == EQUAL and abs(r.rhs) <= FEASIBILITY_TOL)
-                for r in self.rows
+                lo <= FEASIBILITY_TOL and hi >= -FEASIBILITY_TOL
+                for lo, hi in zip(self.row_lo, self.row_hi)
             )
             if feasible:
                 return SolveOutcome(SolveStatus.OPTIMAL, 0.0, [], 0.0, 1, 0)
@@ -175,9 +169,6 @@ class MilpModel:
 
         base_lb = np.asarray(self.lb, dtype=float)
         base_ub = np.asarray(self.ub, dtype=float)
-        for var, val in self.fixings.items():
-            base_lb[var] = val
-            base_ub[var] = val
 
         binaries = [i for i, k in enumerate(self.kinds) if k == BINARY]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Attack,
@@ -152,7 +152,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             )
             if s_val < z_bar:
                 extend_master_with_attack(master, u_star)
-                stats.n_attacks = len(master.blocks)
                 continue
             best = RobustResult(z_bar, x_bar, u_star, "optimal", stats)
             break

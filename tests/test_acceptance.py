@@ -301,36 +301,42 @@ def test_criterion_6_budget_monotonicity(suite):
 
 
 def _random_model(rng):
+    """A random 0-1 model, its objective and its rows as (coeffs, relation, rhs)."""
     n = rng.randint(1, 15)
     m = MilpModel(rng.choice(["max", "min"]))
-    for _ in range(n):
-        m.add_variable(BINARY, obj=rng.randint(-5, 5))
+    obj = [rng.randint(-5, 5) for _ in range(n)]
+    for c in obj:
+        m.add_variable(BINARY, obj=c)
+    rows = []
     for _ in range(rng.randint(0, 8)):
         support = rng.sample(range(n), rng.randint(1, min(4, n)))
-        m.add_row(
-            [(v, rng.randint(-4, 4)) for v in support],
-            rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL]),
-            rng.randint(-3, 6),
+        rows.append(
+            (
+                [(v, rng.randint(-4, 4)) for v in support],
+                rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL]),
+                rng.randint(-3, 6),
+            )
         )
-    return m
+        m.add_row(*rows[-1])
+    return m, obj, rows
 
 
-def _enumerate_optimum(m):
+def _enumerate_optimum(m, obj, rows):
     best = None
     for bits in itertools.product((0, 1), repeat=m.num_variables):
         feasible = True
-        for row in m.rows:
-            lhs = sum(coef * bits[var] for var, coef in row.coeffs)
+        for coeffs, relation, rhs in rows:
+            lhs = sum(coef * bits[var] for var, coef in coeffs)
             if (
-                (row.relation == LESS_EQUAL and lhs > row.rhs + 1e-9)
-                or (row.relation == GREATER_EQUAL and lhs < row.rhs - 1e-9)
-                or (row.relation == EQUAL and abs(lhs - row.rhs) > 1e-9)
+                (relation == LESS_EQUAL and lhs > rhs + 1e-9)
+                or (relation == GREATER_EQUAL and lhs < rhs - 1e-9)
+                or (relation == EQUAL and abs(lhs - rhs) > 1e-9)
             ):
                 feasible = False
                 break
         if not feasible:
             continue
-        val = sum(c * x for c, x in zip(m.obj, bits))
+        val = sum(c * x for c, x in zip(obj, bits))
         if best is None:
             best = val
         else:
@@ -341,8 +347,8 @@ def _enumerate_optimum(m):
 def test_criterion_7_milp_engine():
     rng = random.Random(31337)
     for _ in range(200):
-        m = _random_model(rng)
-        expected = _enumerate_optimum(m)
+        m, obj, rows = _random_model(rng)
+        expected = _enumerate_optimum(m, obj, rows)
         out = m.solve()
         if expected is None:
             assert out.status is SolveStatus.INFEASIBLE

@@ -171,6 +171,26 @@ class TestCutValidity:
                 assert fixed.int_objective() <= exact
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_solve_at_restores_model(self, policy, encoding):
+        """Solving at a fixed attack leaves the subproblem as it found it."""
+        rng = random.Random(f"restore/{policy.value}/{encoding.value}")
+        graph = generate_instance(6, 1, 0.4, seed=3)
+        pool = build_pool(graph, 3, 3)
+        x = random_solution(pool, rng)
+        sub = build_subproblem(x, pool, graph, policy, encoding, 2)
+        for S in [x] + [random_solution(pool, rng) for _ in range(3)]:
+            add_interdiction_cut(sub, S)
+        before = sub.model.solve()
+        lb, ub = list(sub.model.lb), list(sub.model.ub)
+        solve_subproblem_at(sub, Attack.of((), 2))
+        assert (sub.model.lb, sub.model.ub) == (lb, ub)
+        after = sub.model.solve()
+        assert after.objective == before.objective
+        assert after.assignment == before.assignment
+        assert after.nodes_explored == before.nodes_explored
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_picef_dominates_cc(self, policy):
         rng = random.Random(99 if policy is Policy.FULL_RECOURSE else 173)
         for trial in range(15):

@@ -96,37 +96,42 @@ class TestSolve:
 
 
 def random_model(rng):
+    """A random 0-1 model, its objective and its rows as (coeffs, relation, rhs)."""
     n = rng.randint(1, 15)
     sense = rng.choice(["max", "min"])
     m = MilpModel(sense)
+    obj = []
     for _ in range(n):
-        m.add_variable(BINARY, obj=rng.randint(-5, 5))
+        obj.append(rng.randint(-5, 5))
+        m.add_variable(BINARY, obj=obj[-1])
+    rows = []
     for _ in range(rng.randint(0, 8)):
         support = rng.sample(range(n), rng.randint(1, min(4, n)))
         coeffs = [(v, rng.randint(-4, 4)) for v in support]
         relation = rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL])
-        m.add_row(coeffs, relation, rng.randint(-3, 6))
-    return m
+        rows.append((coeffs, relation, rng.randint(-3, 6)))
+        m.add_row(*rows[-1])
+    return m, obj, rows
 
 
-def enumerate_optimum(m):
+def enumerate_optimum(m, obj, rows):
     n = m.num_variables
     best = None
     for bits in itertools.product((0, 1), repeat=n):
         ok = True
-        for row in m.rows:
-            lhs = sum(coef * bits[var] for var, coef in row.coeffs)
-            if row.relation == LESS_EQUAL and lhs > row.rhs + 1e-9:
+        for coeffs, relation, rhs in rows:
+            lhs = sum(coef * bits[var] for var, coef in coeffs)
+            if relation == LESS_EQUAL and lhs > rhs + 1e-9:
                 ok = False
-            elif row.relation == GREATER_EQUAL and lhs < row.rhs - 1e-9:
+            elif relation == GREATER_EQUAL and lhs < rhs - 1e-9:
                 ok = False
-            elif row.relation == EQUAL and abs(lhs - row.rhs) > 1e-9:
+            elif relation == EQUAL and abs(lhs - rhs) > 1e-9:
                 ok = False
             if not ok:
                 break
         if not ok:
             continue
-        val = sum(c * x for c, x in zip(m.obj, bits))
+        val = sum(c * x for c, x in zip(obj, bits))
         if best is None:
             best = val
         elif m.sense == "max":
@@ -146,12 +151,37 @@ def lp_path(request, monkeypatch):
     return request.param
 
 
+class TestEmptyRow:
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize(
+        "relation, rhs, status",
+        [
+            (LESS_EQUAL, 1, SolveStatus.OPTIMAL),
+            (LESS_EQUAL, -1, SolveStatus.INFEASIBLE),
+            (GREATER_EQUAL, 1, SolveStatus.INFEASIBLE),
+            (GREATER_EQUAL, 0, SolveStatus.OPTIMAL),
+            (EQUAL, 0, SolveStatus.OPTIMAL),
+            (EQUAL, 1, SolveStatus.INFEASIBLE),
+        ],
+    )
+    def test_empty_row(self, lp_path, n, relation, rhs, status):
+        """A row without variables has activity 0, with or without columns."""
+        m = MilpModel("max")
+        for _ in range(n):
+            m.add_variable(BINARY, obj=1)
+        m.add_row([], relation, rhs)
+        out = m.solve()
+        assert out.status is status
+        if status is SolveStatus.OPTIMAL:
+            assert out.int_objective() == n
+
+
 class TestAgainstEnumeration:
     def test_random_models(self, lp_path):
         rng = random.Random(7)
         for _ in range(60):
-            m = random_model(rng)
-            expected = enumerate_optimum(m)
+            m, obj, rows = random_model(rng)
+            expected = enumerate_optimum(m, obj, rows)
             out = m.solve()
             if expected is None:
                 assert out.status is SolveStatus.INFEASIBLE
@@ -162,7 +192,7 @@ class TestAgainstEnumeration:
     def test_determinism(self, lp_path):
         rng = random.Random(11)
         for _ in range(10):
-            m = random_model(rng)
+            m, _, _ = random_model(rng)
             for _ in range(2):  # the second round follows a lazily added row
                 first = m.solve()
                 second = m.solve()
