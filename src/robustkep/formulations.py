@@ -6,6 +6,11 @@ cuts, and the recourse problems used to separate those cuts (plain and
 lifted), for both the cycle-chain (CC) and position-indexed chain-edge
 (PICEF) encodings and both recourse policies.
 
+Master attack blocks and plain recourse models are built on G - u, the graph
+an attack u leaves: variables only for the exchanges and arcs u does not hit.
+The lifted recourse keeps full-graph y and eta, which the lifted cut credits,
+and builds only psi on G - u.
+
 Every builder reads the exchange pool's index (the exchanges through each
 vertex, and the PICEF arcs by head, tail and graph arc) and the graph's
 adjacency lists, and shares a few row helpers: the cover of a vertex in
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Arc,
@@ -86,9 +91,9 @@ def assemble_chains(arcs: Sequence[PicefArc]) -> List[ChainKey]:
 # ---------------------------------------------------------------------------
 
 
-def _room(attacked: Collection[int], j: int) -> float:
-    """Right-hand side of vertex j's cover row: 0 once j is attacked."""
-    return 0.0 if j in attacked else 1.0
+def _spared(u: Attack, i: int, j: int) -> bool:
+    """Whether arc (i, j) lies in G - u: neither end is attacked."""
+    return i not in u.attacked and j not in u.attacked
 
 
 def _cover(
@@ -97,13 +102,13 @@ def _cover(
     """Variables of one solution encoding that use vertex j.
 
     ``x`` maps pool indices to exchange variables: every exchange in CC, the
-    cycles in PICEF, or a subset of them.  ``arcs`` maps PICEF arcs to their
-    variables (empty in CC); the arcs into j and out of NDD j use it.
+    cycles in PICEF, or a subset of them.  ``arcs`` maps PICEF arcs (all, or
+    a subset) to their variables; the arcs into j and out of NDD j use it.
     """
     cover = [x[i] for i in pool.involving(j) if i in x]
     if arcs:
-        cover += [arcs[a] for a in pool.arcs_into(j)]
-        cover += [arcs[a] for a in pool.arcs_out_of(j, 1)]
+        cover += [arcs[a] for a in pool.arcs_into(j) if a in arcs]
+        cover += [arcs[a] for a in pool.arcs_out_of(j, 1) if a in arcs]
     return cover
 
 
@@ -137,9 +142,18 @@ def _position_rows(
     arc into j at position l."""
     for j in graph.pairs:
         for pos in sorted({a.pos for a in pool.arcs_out_of(j)}):
-            out = [arcs[a] for a in pool.arcs_out_of(j, pos)]
-            inc = [arcs[a] for a in pool.arcs_into(j) if a.pos == pos - 1]
+            out = [arcs[a] for a in pool.arcs_out_of(j, pos) if a in arcs]
+            inc = [arcs[a] for a in pool.arcs_into(j) if a.pos == pos - 1 and a in arcs]
             _at_most(model, out, inc)
+
+
+def _chain_flow_rows(
+    model: MilpModel, graph: CompatibilityGraph, arc_vars: Dict[Arc, int]
+) -> None:
+    """Graph-arc precedence: pair j passes a chain on only if it got one."""
+    for j in graph.pairs:
+        out = [arc_vars[(j, k)] for k in graph.out_adj[j] if (j, k) in arc_vars]
+        _at_most(model, out, _arc_cover(graph, j, arc_vars))
 
 
 def _packing_rows(
@@ -148,14 +162,13 @@ def _packing_rows(
     graph: CompatibilityGraph,
     x: Dict[int, int],
     arcs: Dict[PicefArc, int],
-    attacked: Collection[int] = (),
 ) -> None:
-    """One solution encoding: each vertex used at most once (never when
-    attacked) and, in PICEF, its precedence rows."""
+    """One solution encoding: each vertex used at most once and, in PICEF,
+    its precedence rows."""
     for j in range(graph.num_vertices):
         cover = _cover(pool, j, x, arcs)
         if cover:
-            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, _room(attacked, j))
+            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, 1.0)
     if arcs:
         _position_rows(model, pool, graph, arcs)
 
@@ -236,29 +249,25 @@ def extend_master_with_attack(master: MasterHandle, u: Attack) -> MasterHandle:
 
 
 def _attack_block(master: MasterHandle, u: Attack) -> None:
-    """Recourse solution (y, and psi in PICEF) under u; z_j <= 1 when pair j
-    is covered by both it and the initial solution, and Z <= sum of z."""
+    """Recourse solution under u, on G - u: y (and psi in PICEF) for the
+    structures and arcs u leaves intact; z_j <= 1 when unattacked pair j is
+    covered by both it and the initial solution, and Z <= sum of z."""
     model, pool, graph = master.model, master.pool, master.graph
     fse = master.policy is Policy.FIX_SUCCESSFUL
     picef = master.encoding is Encoding.PICEF
-    survivors, enforcers = surviving_structures(pool, u) if fse else (set(), {})
+    enforcers = surviving_structures(pool, u)[1] if fse else {}
 
-    if picef:
-        y_vars = {c.index: model.add_variable(BINARY) for c in pool.cycles}
-    elif fse:
-        y_vars = {i: model.add_variable(BINARY) for i in sorted(survivors)}
-    else:
-        y_vars = {e.index: model.add_variable(BINARY) for e in pool.exchanges}
-    psi_vars = {a: model.add_variable(BINARY) for a in pool.picef_arcs} if picef else {}
-    z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in graph.pairs}
-    beta_vars: Dict[Arc, int] = {}
+    structures = pool.cycles if picef else pool.exchanges
+    y_vars = {e.index: model.add_variable(BINARY) for e in structures if not u.hits(e)}
+    arcs = [a for a in pool.picef_arcs if picef and _spared(u, a.src, a.dst)]
+    psi_vars = {a: model.add_variable(BINARY) for a in arcs}
+    pairs = [j for j in graph.pairs if j not in u.attacked]
+    z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in pairs}
+    beta_vars = _picef_beta(master, u) if fse and picef else {}
 
     _at_most(model, [master.z_var], list(z_vars.values()))
-    for j in graph.pairs:
-        _at_most(model, [z_vars[j]], _cover(pool, j, master.x_vars, master.xi_vars))
-    if fse and picef:
-        beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs}
-        _picef_beta_rows(master, u, beta_vars)
+    for j, z in z_vars.items():
+        _at_most(model, [z], _cover(pool, j, master.x_vars, master.xi_vars))
 
     for j in range(graph.num_vertices):
         # FSE: the initial structures u leaves intact still cover j
@@ -266,39 +275,31 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
         cover = [master.x_vars[i] for i in enforcing if i in master.x_vars]
         cover += _arc_cover(graph, j, beta_vars)
         cover += _cover(pool, j, y_vars, psi_vars)
-        if graph.is_pair(j):
+        if j in z_vars:
             _at_most(model, [z_vars[j]], cover)
-        # the FSE PICEF block keeps a pair's cover row even when it is empty;
-        # the row is void, but dropping it changes the LP search path
-        if cover or (fse and picef and graph.is_pair(j)):
-            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, _room(u.attacked, j))
+        if cover:
+            model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, 1.0)
     if picef:
         _position_rows(model, pool, graph, psi_vars)
 
 
-def _picef_beta_rows(master: MasterHandle, u: Attack, beta_vars: Dict[Arc, int]) -> None:
-    """Rows pinning beta_ij = 1 exactly when arc (i,j) lies on an initial
-    chain whose prefix up to j has no attacked vertex."""
+def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
+    """FSE PICEF: beta_ij for each arc (i,j) of G - u, with rows pinning it to 1
+    exactly when (i,j) lies on an initial chain whose prefix up to j has no
+    attacked vertex."""
     model, graph, pool = master.model, master.graph, master.pool
-
-    def u_of(v: int) -> float:
-        return 1.0 if v in u.attacked else 0.0
-
-    for (i, j) in graph.arcs:
-        b = beta_vars[(i, j)]
+    beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs if _spared(u, *arc)}
+    for (i, j), b in beta_vars.items():
         # an NDD's arcs only sit at position 1, so for it these are the first arcs
         xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
         model.add_row([(b, 1.0)] + xi, LESS_EQUAL, 0.0)
         if graph.is_ndd(i):
-            model.add_row([(b, 1.0)] + xi, GREATER_EQUAL, -u_of(i) - u_of(j))
+            model.add_row([(b, 1.0)] + xi, GREATER_EQUAL, 0.0)
         else:
-            pred = [(beta_vars[(k, i)], -1.0) for k in graph.in_adj[i]]
-            model.add_row([(b, 1.0)] + xi + pred, GREATER_EQUAL, -1.0 - u_of(j))
-        model.add_row([(b, 1.0)], LESS_EQUAL, 1.0 - u_of(i))
-        model.add_row([(b, 1.0)], LESS_EQUAL, 1.0 - u_of(j))
-    for i in graph.pairs:
-        out = [beta_vars[(i, k)] for k in graph.out_adj[i]]
-        _at_most(model, out, [beta_vars[(k, i)] for k in graph.in_adj[i]])
+            pred = [(v, -1.0) for v in _arc_cover(graph, i, beta_vars)]
+            model.add_row([(b, 1.0)] + xi + pred, GREATER_EQUAL, -1.0)
+    _chain_flow_rows(model, graph, beta_vars)
+    return beta_vars
 
 
 def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> KepSolution:
@@ -483,8 +484,8 @@ class RecourseHandle:
     u: Attack
     initial_pairs: Set[int]
     y_vars: Dict[int, int]
-    # the PICEF arc variables: psi (plain), or eta for the full-graph chains
-    # (lifted), whose unattacked part is psi per graph arc
+    # the PICEF arc variables: psi on G - u (plain), or eta for the full-graph
+    # chains (lifted), whose unattacked part is psi per graph arc of G - u
     picef_vars: Dict[PicefArc, int] = field(default_factory=dict)
     psi_arc_vars: Dict[Arc, int] = field(default_factory=dict)
 
@@ -500,8 +501,9 @@ def build_recourse(
 ) -> RecourseHandle:
     """Weighted KEP model whose optimum is the best recourse value under u.
 
-    The lifted variant optimizes over full-graph solutions whose surviving
-    part is an optimal recourse solution, yielding stronger cuts.
+    The plain variant is the KEP on G - u.  The lifted variant optimizes over
+    full-graph solutions (y and eta) whose surviving part, psi on G - u, is an
+    optimal recourse solution, yielding stronger cuts.
     """
     initial_pairs = initial.initial_pairs(pool, graph)
     enforced = (
@@ -515,37 +517,29 @@ def build_recourse(
     y_vars: Dict[int, int] = {}
     for e in pool.cycles if picef else pool.exchanges:
         w = exchange_weight(e, initial_pairs)
-        if lifted:
-            obj = float(w * nv + 1) if not u.hits(e) else 1.0
-        else:
-            obj = float(w)
-        y_vars[e.index] = model.add_variable(BINARY, obj=obj)
+        if not u.hits(e):
+            y_vars[e.index] = model.add_variable(BINARY, obj=float(w * nv + 1 if lifted else w))
+        elif lifted:
+            y_vars[e.index] = model.add_variable(BINARY, obj=1.0)
     rec = RecourseHandle(model, pool, encoding, lifted, u, initial_pairs, y_vars)
 
     arcs = rec.picef_vars
-    if picef:
-        for a in pool.picef_arcs:
+    for a in pool.picef_arcs if picef else ():
+        if lifted or _spared(u, a.src, a.dst):
             w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
             arcs[a] = model.add_variable(BINARY, obj=w)
-    _packing_rows(model, pool, graph, y_vars, arcs, () if lifted else u.attacked)
+    _packing_rows(model, pool, graph, y_vars, arcs)
     psi_arc = rec.psi_arc_vars
     if picef and lifted:
         for (i, j) in graph.arcs:
-            if pool.arcs_on(i, j):
+            if pool.arcs_on(i, j) and _spared(u, i, j):
                 w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
                 psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
-        # psi_ij needs eta on (i, j), and the psi arcs form chains that use no
-        # attacked vertex
+        # psi_ij needs eta on (i, j), so eta's packing rows cover psi too, and
+        # the psi arcs form chains in G - u
         for (i, j), pv in psi_arc.items():
             _at_most(model, [pv], [arcs[a] for a in pool.arcs_on(i, j)])
-        for j in range(nv):
-            cover = _arc_cover(graph, j, psi_arc)
-            if cover:
-                rhs = _room(u.attacked, j)
-                model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, rhs)
-            if graph.is_pair(j):
-                out = [psi_arc[(j, k)] for k in graph.out_adj[j] if (j, k) in psi_arc]
-                _at_most(model, out, cover)
+        _chain_flow_rows(model, graph, psi_arc)
 
     # FSE: lock in the enforced structures and forbid extending their chains
     for e in enforced:
@@ -556,16 +550,15 @@ def build_recourse(
         if lifted:
             for arc in e.arcs:
                 model.fix(psi_arc[arc], 1.0)
-            for k in graph.out_adj[last]:
-                if (last, k) in psi_arc:
-                    model.fix(psi_arc[(last, k)], 0.0)
         else:
             for pos, (i, j) in enumerate(e.arcs, start=1):
                 model.fix(arcs[PicefArc(i, j, pos)], 1.0)
-        # lifted, this fixes eta: the cut solution must hold the enforced chain
-        # itself, not an extension of it, or its cut credits nothing for it
+        # lifted, this fixes eta, and so psi, as psi needs eta: the cut solution
+        # must hold the enforced chain itself, not an extension of it, or its
+        # cut credits nothing for it
         for a in pool.arcs_out_of(last):
-            model.fix(arcs[a], 0.0)
+            if a in arcs:
+                model.fix(arcs[a], 0.0)
     return rec
 
 

@@ -224,6 +224,7 @@ def solve_attack_subproblem_cuttingplane(
     stats = stats or RobustStats()
     sub = build_subproblem(initial, pool, graph, policy, encoding, budget)
     add_interdiction_cut(sub, initial)
+    added = {initial}  # the solutions whose cuts the model holds
     while True:
         stats.n_subproblems += 1
         t0 = time.perf_counter()
@@ -248,12 +249,17 @@ def solve_attack_subproblem_cuttingplane(
         _check(rec_out)
         stats.bb_nodes += rec_out.nodes_explored
         cut_sol, r = extract_cut_solution(rec, rec_out)
-        if master_value is not None and r < master_value:
+        if r <= z_sub or (master_value is not None and r < master_value):
             return r, u
-        if r > z_sub:
-            add_interdiction_cut(sub, cut_sol)
-            continue
-        return r, u
+        if cut_sol in added:
+            # its cut should already hold Z >= r at u; adding it again would
+            # change nothing, and the loop would never end
+            raise RuntimeError(
+                f"cut loop stalled at attack {sorted(u.attacked)}: a repeated cut "
+                f"solution has recourse value {r} above the attacker's {z_sub}"
+            )
+        added.add(cut_sol)
+        add_interdiction_cut(sub, cut_sol)
 
 
 def solve_attack_subproblem_bb(

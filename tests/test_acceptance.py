@@ -11,7 +11,6 @@ import time
 import pytest
 
 from robustkep import (
-    Attack,
     CompatibilityGraph,
     Encoding,
     Exchange,
@@ -26,7 +25,6 @@ from robustkep import (
 from robustkep.core import longest_unattacked_prefix
 from robustkep.formulations import (
     add_interdiction_cut,
-    build_master,
     build_recourse,
     build_subproblem,
     extract_attack,

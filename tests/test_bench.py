@@ -4,7 +4,6 @@ import json
 import pytest
 
 from robustkep import (
-    CompatibilityGraph,
     Encoding,
     Policy,
     RobustConfig,

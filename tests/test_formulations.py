@@ -20,7 +20,6 @@ from robustkep.formulations import (
     build_recourse,
     build_subproblem,
     extend_master_with_attack,
-    extract_attack,
     extract_cut_solution,
     extract_initial_solution,
     solve_subproblem_at,
@@ -274,3 +273,49 @@ class TestRecourse:
             sol, value = extract_cut_solution(rec, rec.model.solve())
             # the prefix (3,0,1) is locked in and cannot be extended
             assert value == 2
+
+
+class TestBuiltOnGMinusU:
+    """Attack blocks and plain recourse models hold variables only for what
+    an attack u leaves of the graph (G - u); the lifted recourse keeps its
+    full-graph y and eta and builds only psi on G - u."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_variables_avoid_attacked_vertices(self, policy, encoding):
+        rng = random.Random(f"g-u/{policy.value}/{encoding.value}")
+        picef = encoding is Encoding.PICEF
+        fse = policy is Policy.FIX_SUCCESSFUL
+        for trial in range(6):
+            graph = generate_instance(
+                rng.randint(5, 8), rng.randint(1, 2), 0.35, seed=rng.randint(0, 9999)
+            )
+            pool = build_pool(graph, 3, 3)
+            x = random_solution(pool, rng)
+            u = Attack.of(rng.sample(range(graph.num_vertices), rng.randint(1, 2)), 2)
+
+            def spared(i, j):
+                return i not in u.attacked and j not in u.attacked
+
+            structures = {e.index for e in (pool.cycles if picef else pool.exchanges)}
+            kept = {i for i in structures if not u.hits(pool.exchange(i))}
+            all_arcs = set(pool.picef_arcs) if picef else set()
+            arcs = {a for a in all_arcs if spared(a.src, a.dst)}
+            graph_arcs = {(i, j) for (i, j) in graph.arcs if spared(i, j)}
+
+            plain = build_recourse(x, u, pool, graph, policy, encoding)
+            assert set(plain.y_vars) == kept
+            assert set(plain.picef_vars) == arcs
+            lifted = build_recourse(x, u, pool, graph, policy, encoding, lifted=True)
+            assert set(lifted.y_vars) == structures
+            assert set(lifted.picef_vars) == all_arcs
+            psi = {arc for arc in graph_arcs if pool.arcs_on(*arc)} if picef else set()
+            assert set(lifted.psi_arc_vars) == psi
+
+            master = build_master(pool, graph, policy, encoding, [Attack.of((), 2)])
+            before = master.model.num_variables
+            extend_master_with_attack(master, u)
+            pairs = [j for j in graph.pairs if j not in u.attacked]
+            beta = graph_arcs if fse and picef else set()
+            added = len(kept) + len(arcs) + len(pairs) + len(beta)
+            assert master.model.num_variables - before == added

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from robustkep import (
-    Attack,
     CompatibilityGraph,
     Encoding,
     Exchange,
@@ -15,6 +14,7 @@ from robustkep import (
     generate_instance,
     solve_robust,
 )
+from robustkep import solvers
 from robustkep.solvers import (
     RobustStats,
     brute_force_attack,
@@ -102,6 +102,25 @@ class TestSubproblemSolvers:
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
+
+    def test_stalled_cut_loop_raises(self, monkeypatch):
+        """A recourse that keeps returning one cut solution with a value its
+        cut does not hold would repeat that cut forever; the loop raises."""
+        real = solvers.extract_cut_solution
+        first = []
+
+        def inflated(rec, outcome):
+            if not first:
+                first.append(real(rec, outcome)[0])
+            return first[0], 1000
+
+        monkeypatch.setattr(solvers, "extract_cut_solution", inflated)
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        with pytest.raises(RuntimeError, match="cut loop stalled at attack"):
+            solve_attack_subproblem_cuttingplane(
+                full_chain_solution(pool), pool, CHAIN_GRAPH, Policy.FULL_RECOURSE,
+                Encoding.CC, 1, clock=solvers._Clock(3.0),
+            )
 
     def test_bb_exact_value(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
