@@ -36,6 +36,12 @@ def _write_text(path: Optional[str], text: str) -> None:
         fh.write(text)
 
 
+# the config flags' argparse destinations; bench takes a list in each
+CONFIG_FLAGS = (
+    "cycle_len", "chain_len", "budget", "policy", "formulation", "method", "lifting",
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser, multi: bool) -> None:
     """Config flags; in matrix mode each accepts a comma-separated list."""
     note = " (comma-separated list allowed)" if multi else ""
@@ -56,10 +62,7 @@ def _flag(raw: str) -> bool:
 
 
 def _configs(args: argparse.Namespace) -> List[RobustConfig]:
-    lists = [
-        args.cycle_len, args.chain_len, args.budget, args.policy,
-        args.formulation, args.method, args.lifting,
-    ]
+    lists = [getattr(args, name) for name in CONFIG_FLAGS]
     return [
         RobustConfig(
             max_cycle_len=int(k),
@@ -78,8 +81,12 @@ def _configs(args: argparse.Namespace) -> List[RobustConfig]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    listed = [name for name in CONFIG_FLAGS if "," in getattr(args, name)]
+    if listed:
+        flags = ", ".join("--" + name.replace("_", "-") for name in listed)
+        raise SystemExit(f"{flags}: solve takes one value per flag, bench takes lists")
     graph = parse_instance(_read_text(args.input))
-    cfg = _configs(args)[0]
+    (cfg,) = _configs(args)
     result = solve_robust(graph, cfg)
     lines = [f"status: {result.status}"]
     if result.status == "optimal":

@@ -3,18 +3,18 @@
 Compatibility graphs over donor-recipient pairs and non-directed donors
 (NDDs), enumeration of transplant cycles and NDD-rooted chains, the
 position-indexed arc set used by the PICEF encoding, attack patterns, and
-the recourse-aware objective (pairs covered by both the initial and the
-post-attack solution).
+the weights of the recourse-aware objective (each exchange or PICEF arc
+counts the initially covered pairs it serves).
 
 ``ExchangePool`` is the one index every model builder reads: the exchanges
-through each vertex, and the PICEF arcs derived once from the pool's own
-chains, looked up by head, by tail (and position) and by graph arc.
+through each vertex, and the PICEF arcs derived from the pool's own chains on
+first use, looked up by head, by tail (and position) and by graph arc.
 
 The fix-successful-exchanges (FSE) policy rests on one rule, written once in
 ``_kept``: an attack keeps a planned cycle only if the cycle is untouched, and
 keeps a planned chain's prefix up to its first attacked vertex, provided that
-prefix still holds an arc.  ``surviving_structures``, ``enforced_under_attack``,
-``enforceable_set`` and ``longest_unattacked_prefix`` all derive from it.
+prefix still holds an arc.  ``enforcers``, ``enforced_under_attack`` and
+``enforceable_set`` all derive from it.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class CompatibilityGraph:
         return self.num_pairs <= v < self.num_vertices
 
     @cached_property
-    def arc_set(self) -> FrozenSet[Arc]:
-        return frozenset(self.arcs)
-
-    @cached_property
     def out_adj(self) -> Dict[int, List[int]]:
         adj: Dict[int, List[int]] = {v: [] for v in range(self.num_vertices)}
         for (i, j) in self.arcs:
@@ -128,12 +124,6 @@ class Exchange:
     index: int = -1
 
     @property
-    def num_arcs(self) -> int:
-        if self.kind is ExchangeKind.CYCLE:
-            return len(self.vertices)
-        return len(self.vertices) - 1
-
-    @property
     def arcs(self) -> Tuple[Arc, ...]:
         vs = self.vertices
         path = tuple(zip(vs, vs[1:]))
@@ -143,27 +133,6 @@ class Exchange:
 
     def key(self) -> Tuple[ExchangeKind, Tuple[int, ...]]:
         return (self.kind, self.vertices)
-
-    def validate(self, graph: CompatibilityGraph, K: int, L: int) -> None:
-        """Raise ValueError unless this exchange is feasible on ``graph``."""
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in {self}")
-        for arc in self.arcs:
-            if arc not in graph.arc_set:
-                raise ValueError(f"missing arc {arc} for {self}")
-        if self.kind is ExchangeKind.CYCLE:
-            if not all(graph.is_pair(v) for v in vs):
-                raise ValueError(f"cycle {self} visits an NDD")
-            if not 2 <= len(vs) <= K:
-                raise ValueError(f"cycle {self} violates length bound {K}")
-        else:
-            if not graph.is_ndd(vs[0]):
-                raise ValueError(f"chain {self} does not start at an NDD")
-            if not all(graph.is_pair(v) for v in vs[1:]):
-                raise ValueError(f"chain {self} revisits an NDD")
-            if not 1 <= self.num_arcs <= L:
-                raise ValueError(f"chain {self} violates length bound {L}")
 
 
 def enumerate_cycles(graph: CompatibilityGraph, K: int) -> List[Exchange]:
@@ -264,12 +233,13 @@ class ExchangePool:
     position) on the pool's chains, ordered by (pos, src, dst): for a pool of
     all chains with up to L arcs, ``picef_positions(graph, L)``.  The
     ``arcs_*`` methods look them up by head, tail (and position) and arc.
+    The PICEF arcs and their lookup are built on first use, so a CC solve
+    never builds them.
     """
 
     cycles: List[Exchange]
     chains: List[Exchange]
     per_vertex: Dict[int, List[int]] = field(init=False)
-    picef_arcs: List[PicefArc] = field(init=False)
 
     def __post_init__(self):
         reindexed_cycles = []
@@ -286,20 +256,26 @@ class ExchangePool:
         for e in self.exchanges:
             for v in e.vertices:
                 self.per_vertex.setdefault(v, []).append(e.index)
+
+    @cached_property
+    def picef_arcs(self) -> List[PicefArc]:
         found = {
             PicefArc(i, j, pos)
             for d in self.chains
             for pos, (i, j) in enumerate(d.arcs, start=1)
         }
-        self.picef_arcs = sorted(found, key=lambda a: (a.pos, a.src, a.dst))
-        self._into: Dict[int, List[PicefArc]] = {}
-        self._out: Dict[Tuple[int, Optional[int]], List[PicefArc]] = {}
-        self._on: Dict[Arc, List[PicefArc]] = {}
+        return sorted(found, key=lambda a: (a.pos, a.src, a.dst))
+
+    @cached_property
+    def _arc_maps(self) -> Tuple[dict, dict, dict]:
+        """The PICEF arcs by head, by (tail, position or None) and by arc."""
+        into, out, on = {}, {}, {}
         for a in self.picef_arcs:
-            self._into.setdefault(a.dst, []).append(a)
-            self._out.setdefault((a.src, None), []).append(a)
-            self._out.setdefault((a.src, a.pos), []).append(a)
-            self._on.setdefault((a.src, a.dst), []).append(a)
+            into.setdefault(a.dst, []).append(a)
+            out.setdefault((a.src, None), []).append(a)
+            out.setdefault((a.src, a.pos), []).append(a)
+            on.setdefault((a.src, a.dst), []).append(a)
+        return into, out, on
 
     @property
     def exchanges(self) -> List[Exchange]:
@@ -324,15 +300,15 @@ class ExchangePool:
         return self.per_vertex.get(v, [])
 
     def arcs_into(self, j: int) -> List[PicefArc]:
-        return self._into.get(j, [])
+        return self._arc_maps[0].get(j, [])
 
     def arcs_out_of(self, i: int, pos: Optional[int] = None) -> List[PicefArc]:
         """PICEF arcs leaving i, only those at position ``pos`` if given."""
-        return self._out.get((i, pos), [])
+        return self._arc_maps[1].get((i, pos), [])
 
     def arcs_on(self, i: int, j: int) -> List[PicefArc]:
         """PICEF arcs over the graph arc (i, j), one per position."""
-        return self._on.get((i, j), [])
+        return self._arc_maps[2].get((i, j), [])
 
 
 def build_pool(graph: CompatibilityGraph, K: int, L: int) -> ExchangePool:
@@ -425,25 +401,19 @@ def enforceable_set(initial: KepSolution, pool: ExchangePool) -> List[Exchange]:
     return [pool.exchange(i) for i in sorted(found)]
 
 
-def surviving_structures(
-    pool: ExchangePool, u: Attack
-) -> Tuple[Set[int], Dict[int, Set[int]]]:
-    """(E_u, I_u): surviving exchange indices, and per vertex j the exchanges
-    that would leave an enforced (partial) structure covering j under u.
-
-    I_u[j] contains the exchanges through j whose part kept by the FSE rule
-    still holds j: surviving cycles, and chains whose prefix up to j (at least
-    the first arc) has no attacked vertex.
+def enforcers(
+    pool: ExchangePool, indices: Iterable[int], u: Attack
+) -> Dict[int, List[int]]:
+    """Per vertex j, the given exchanges whose part kept by the FSE rule under
+    u still holds j, in the order given: untouched cycles, and chains whose
+    prefix up to j (at least the first arc) has no attacked vertex.
     """
-    survivors: Set[int] = set()
-    per_vertex: Dict[int, Set[int]] = {}
-    for e in pool.exchanges:
-        n = _kept(e, u.attacked)
-        if n == len(e.vertices):
-            survivors.add(e.index)
-        for j in e.vertices[:n]:
-            per_vertex.setdefault(j, set()).add(e.index)
-    return survivors, per_vertex
+    held: Dict[int, List[int]] = {}
+    for i in indices:
+        e = pool.exchange(i)
+        for j in e.vertices[: _kept(e, u.attacked)]:
+            held.setdefault(j, []).append(i)
+    return held
 
 
 def exchange_weight(e: Exchange, initial_pairs: Set[int]) -> int:
@@ -454,15 +424,6 @@ def exchange_weight(e: Exchange, initial_pairs: Set[int]) -> int:
 def arc_weight(dst: int, initial_pairs: Set[int]) -> int:
     """PICEF arc weight: 1 iff the recipient is an initially covered pair."""
     return 1 if dst in initial_pairs else 0
-
-
-def longest_unattacked_prefix(chain: Exchange, u: Attack) -> Optional[Exchange]:
-    """Longest prefix subchain of ``chain`` with no attacked vertex, or None.
-
-    This is the part of an initial chain that the FSE policy enforces.
-    """
-    n = _kept(chain, u.attacked)
-    return Exchange(chain.kind, chain.vertices[:n]) if n else None
 
 
 def enforced_under_attack(
@@ -478,19 +439,3 @@ def enforced_under_attack(
             kept = Exchange(e.kind, e.vertices[:n])
             enforced.append(pool.exchange(pool.index_of(kept)))
     return enforced
-
-
-def objective_value(
-    initial: KepSolution,
-    u: Attack,
-    recourse: KepSolution,
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-) -> int:
-    """|P(x) ∩ P(x,u,y)|: pairs covered by both initial and recourse solutions."""
-    for e in recourse.exchanges(pool):
-        if u.hits(e):
-            raise ValueError(f"recourse exchange {e.vertices} uses an attacked vertex")
-    initial_pairs = initial.initial_pairs(pool, graph)
-    recourse_pairs = recourse.initial_pairs(pool, graph)
-    return len(initial_pairs & recourse_pairs)

@@ -36,9 +36,9 @@ from .core import (
     arc_weight,
     enforced_under_attack,
     enforceable_set,
+    enforcers,
     exchange_weight,
     picef_positions,  # noqa: F401  not called here; perfbench/tracer.py wraps it
-    surviving_structures,
 )
 from .milp import (
     BINARY,
@@ -255,11 +255,12 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
     model, pool, graph = master.model, master.pool, master.graph
     fse = master.policy is Policy.FIX_SUCCESSFUL
     picef = master.encoding is Encoding.PICEF
-    enforcers = surviving_structures(pool, u)[1] if fse else {}
+    # FSE: the plan's own structures (x) that u leaves holding each vertex
+    held = enforcers(pool, master.x_vars, u) if fse else {}
 
     structures = pool.cycles if picef else pool.exchanges
     y_vars = {e.index: model.add_variable(BINARY) for e in structures if not u.hits(e)}
-    arcs = [a for a in pool.picef_arcs if picef and _spared(u, a.src, a.dst)]
+    arcs = [a for a in pool.picef_arcs if _spared(u, a.src, a.dst)] if picef else []
     psi_vars = {a: model.add_variable(BINARY) for a in arcs}
     pairs = [j for j in graph.pairs if j not in u.attacked]
     z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in pairs}
@@ -270,9 +271,7 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
         _at_most(model, [z], _cover(pool, j, master.x_vars, master.xi_vars))
 
     for j in range(graph.num_vertices):
-        # FSE: the initial structures u leaves intact still cover j
-        enforcing = sorted(enforcers.get(j, ()))
-        cover = [master.x_vars[i] for i in enforcing if i in master.x_vars]
+        cover = [master.x_vars[i] for i in held.get(j, ())]
         cover += _arc_cover(graph, j, beta_vars)
         cover += _cover(pool, j, y_vars, psi_vars)
         if j in z_vars:
@@ -302,17 +301,27 @@ def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
     return beta_vars
 
 
-def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> KepSolution:
-    """Initial solution encoded by the master's x variables."""
-    selected = [i for i, v in master.x_vars.items() if outcome.value(v) > 0.5]
-    if master.encoding is Encoding.PICEF:
-        chosen = [a for a, v in master.xi_vars.items() if outcome.value(v) > 0.5]
-        for verts in assemble_chains(chosen):
-            selected.append(master.pool.index_of(Exchange(ExchangeKind.CHAIN, verts)))
-    sol = KepSolution.of(selected)
-    if not sol.is_feasible(master.pool):
-        raise RuntimeError("master produced overlapping exchanges")
+def _chosen(outcome: SolveOutcome, var_map: Dict) -> List:
+    """Keys of ``var_map`` whose variables are 1 in ``outcome``."""
+    return [key for key, v in var_map.items() if outcome.value(v) > 0.5]
+
+
+def _decoded(
+    pool: ExchangePool, selected: List[int], chain_arcs: List[PicefArc], source: str
+) -> KepSolution:
+    """The chosen pool exchanges plus the pool chains the chosen PICEF arcs
+    form, checked to be vertex-disjoint."""
+    chains = [Exchange(ExchangeKind.CHAIN, vs) for vs in assemble_chains(chain_arcs)]
+    sol = KepSolution.of(selected + [pool.index_of(d) for d in chains])
+    if not sol.is_feasible(pool):
+        raise RuntimeError(f"{source} produced overlapping exchanges")
     return sol
+
+
+def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> KepSolution:
+    """Initial solution encoded by the master's x (and, in PICEF, xi) variables."""
+    selected = _chosen(outcome, master.x_vars)
+    return _decoded(master.pool, selected, _chosen(outcome, master.xi_vars), "master")
 
 
 # ---------------------------------------------------------------------------
@@ -568,27 +577,18 @@ def extract_cut_solution(
     """Full solution for the next interdiction cut and its true recourse value
     (the weight of its non-attacked part)."""
     pool, u = rec.pool, rec.u
-
-    def chosen(var_map):
-        return [key for key, v in var_map.items() if outcome.value(v) > 0.5]
-
-    selected = chosen(rec.y_vars)
+    selected = _chosen(outcome, rec.y_vars)
     value = sum(
         exchange_weight(pool.exchange(i), rec.initial_pairs)
         for i in selected
         if not u.hits(pool.exchange(i))
     )
-    if rec.encoding is Encoding.PICEF:
-        # lifted: eta holds the full-graph chains and psi their unattacked part
-        chain_arcs = chosen(rec.picef_vars)
-        if rec.lifted:
-            heads = [j for (i, j) in chosen(rec.psi_arc_vars)]
-        else:
-            heads = [a.dst for a in chain_arcs]
-        value += sum(arc_weight(j, rec.initial_pairs) for j in heads)
-        for verts in assemble_chains(chain_arcs):
-            selected.append(pool.index_of(Exchange(ExchangeKind.CHAIN, verts)))
-    sol = KepSolution.of(selected)
-    if not sol.is_feasible(pool):
-        raise RuntimeError("recourse model produced overlapping exchanges")
-    return sol, value
+    # PICEF arcs (none in CC); lifted, eta holds the full-graph chains and psi
+    # their unattacked part
+    chain_arcs = _chosen(outcome, rec.picef_vars)
+    if rec.lifted:
+        heads = [j for (i, j) in _chosen(outcome, rec.psi_arc_vars)]
+    else:
+        heads = [a.dst for a in chain_arcs]
+    value += sum(arc_weight(j, rec.initial_pairs) for j in heads)
+    return _decoded(pool, selected, chain_arcs, "recourse model"), value

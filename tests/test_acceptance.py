@@ -22,7 +22,6 @@ from robustkep import (
     generate_instance,
     solve_robust,
 )
-from robustkep.core import longest_unattacked_prefix
 from robustkep.formulations import (
     add_interdiction_cut,
     build_recourse,
@@ -197,9 +196,11 @@ def _surviving_restriction(sol, u, pool):
             if not u.hits(e):
                 kept.append(e.index)
         else:
-            prefix = longest_unattacked_prefix(e, u)
-            if prefix is not None:
-                kept.append(pool.index_of(prefix))
+            # the longest prefix without an attacked vertex, if it holds an arc
+            vs = e.vertices
+            n = next((k for k, v in enumerate(vs) if v in u.attacked), len(vs))
+            if n >= 2:
+                kept.append(pool.index_of(Exchange(e.kind, vs[:n])))
     return KepSolution.of(kept)
 
 

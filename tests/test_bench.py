@@ -305,6 +305,20 @@ class TestCli:
         assert "sgm" in summary.read_text() or summary.read_text().strip()
         assert "policy" in table or "fr" in table
 
+    def test_solve_rejects_listed_flags(self, tmp_path, capsys):
+        # solve runs one config; a comma list would be cut to its first value
+        inst = tmp_path / "g.kep"
+        inst.write_text(KEP_TEXT)
+        argv = ["solve", "--input", str(inst), "--budget", "2,1",
+                "--policy", "fse,fr", "--formulation", "picef,cc"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        for flag in ("--budget", "--policy", "--formulation"):
+            assert flag in message
+        assert "--method" not in message and "bench" in message
+        assert capsys.readouterr().out == ""
+
     def test_solve_json_instance(self, tmp_path, capsys):
         inst = tmp_path / "g.json"
         inst.write_text('{"pairs": 3, "ndds": 1, "arcs": [[3,0],[0,1],[1,2],[2,1]]}')

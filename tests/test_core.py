@@ -19,10 +19,8 @@ from robustkep import (
 from robustkep.core import (
     enforceable_set,
     enforced_under_attack,
+    enforcers,
     exchange_weight,
-    longest_unattacked_prefix,
-    objective_value,
-    surviving_structures,
 )
 
 # 3 pairs (0,1,2), one NDD (3); the NDD feeds a path through all pairs and
@@ -62,7 +60,6 @@ class TestCompatibilityGraph:
     def test_adjacency(self):
         assert CHAIN_GRAPH.out_adj[1] == [2]
         assert CHAIN_GRAPH.in_adj[1] == [0, 2]
-        assert (3, 0) in CHAIN_GRAPH.arc_set
 
 
 class TestEnumeration:
@@ -127,21 +124,10 @@ class TestExchange:
     def test_cycle_arcs_include_closing(self):
         e = Exchange(ExchangeKind.CYCLE, (1, 2))
         assert e.arcs == ((1, 2), (2, 1))
-        assert e.num_arcs == 2
 
     def test_chain_arcs(self):
         e = Exchange(ExchangeKind.CHAIN, (3, 0, 1))
         assert e.arcs == ((3, 0), (0, 1))
-        assert e.num_arcs == 2
-
-    def test_validate(self):
-        Exchange(ExchangeKind.CYCLE, (1, 2)).validate(CHAIN_GRAPH, 3, 3)
-        with pytest.raises(ValueError, match="length bound"):
-            Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)).validate(CHAIN_GRAPH, 3, 2)
-        with pytest.raises(ValueError, match="missing arc"):
-            Exchange(ExchangeKind.CYCLE, (0, 1)).validate(CHAIN_GRAPH, 3, 3)
-        with pytest.raises(ValueError, match="start at an NDD"):
-            Exchange(ExchangeKind.CHAIN, (0, 1)).validate(CHAIN_GRAPH, 3, 3)
 
 
 class TestPool:
@@ -188,7 +174,7 @@ class TestSolutionAndAttack:
 
 class TestFixSuccessfulConstructs:
     def test_rule_matches_definitions_on_random_graphs(self):
-        """One FSE rule behind all four helpers, checked against definitions
+        """One FSE rule behind all three helpers, checked against definitions
         written out here: a cycle survives only whole, and a chain keeps each
         prefix that ends at a pair and has no attacked vertex."""
 
@@ -221,20 +207,15 @@ class TestFixSuccessfulConstructs:
                 for size in range(3)
                 for a in itertools.combinations(range(g.num_vertices), size)
             ]
-            for u in attacks:
-                survivors, per_vertex = surviving_structures(pool, u)
-                assert survivors == {
-                    e.index for e in pool.exchanges if not set(e.vertices) & u.attacked
-                }
+            # the whole pool (a CC master's x) and the cycles alone (PICEF's x)
+            cycles = [e.index for e in pool.cycles]
+            for u, indices in itertools.product(attacks, (range(len(pool)), cycles)):
                 expected = {}
-                for e in pool.exchanges:
+                for i in indices:
+                    e = pool.exchange(i)
                     for j in {j for p in kept(g, e, u.attacked) for j in p}:
-                        expected.setdefault(j, set()).add(e.index)
-                assert per_vertex == expected
-                for e in pool.chains:
-                    longest = max(kept(g, e, u.attacked), key=len, default=None)
-                    prefix = longest_unattacked_prefix(e, u)
-                    assert (None if prefix is None else prefix.vertices) == longest
+                        expected.setdefault(j, []).append(i)
+                assert enforcers(pool, indices, u) == expected
             for x in initials:
                 enf = enforceable_set(x, pool)
                 # with no attack, every structure the rule can keep is kept
@@ -260,12 +241,6 @@ class TestFixSuccessfulConstructs:
         assert [e.vertices for e in enf] == [(3, 0), (3, 0, 1), (3, 0, 1, 2)]
         assert all(e.index >= 0 for e in enf)
 
-    def test_longest_unattacked_prefix(self):
-        d = Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2))
-        assert longest_unattacked_prefix(d, Attack.of([2], 1)).vertices == (3, 0, 1)
-        assert longest_unattacked_prefix(d, Attack.of([0], 1)) is None
-        assert longest_unattacked_prefix(d, Attack.of([], 1)).vertices == (3, 0, 1, 2)
-
     def test_enforced_under_attack(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
@@ -274,15 +249,19 @@ class TestFixSuccessfulConstructs:
         )
         assert [e.vertices for e in enforced] == [(3, 0, 1)]
 
-    def test_surviving_structures(self):
+    def test_enforcers(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
-        survivors, per_vertex = surviving_structures(pool, Attack.of([2], 1))
+        first, second, full = (
+            pool.index_of(Exchange(ExchangeKind.CHAIN, vs))
+            for vs in ((3, 0), (3, 0, 1), (3, 0, 1, 2))
+        )
         cycle = pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))
-        full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
-        assert cycle not in survivors and full not in survivors
-        # the full chain still enforces coverage of vertices before the hit
-        assert full in per_vertex[1]
-        assert full not in per_vertex.get(2, set())
+        held = enforcers(pool, [full, cycle, second, first], Attack.of([2], 1))
+        # the hit cycle holds nothing; each chain holds the vertices before
+        # the hit, listed in the order given
+        assert held == {
+            3: [full, second, first], 0: [full, second, first], 1: [full, second]
+        }
 
 
 class TestWeightsAndObjective:
@@ -290,23 +269,3 @@ class TestWeightsAndObjective:
         e = Exchange(ExchangeKind.CHAIN, (3, 0, 1))
         assert exchange_weight(e, {0, 1, 2}) == 2
         assert exchange_weight(e, {2}) == 0
-
-    def test_objective_value(self):
-        pool = build_pool(CHAIN_GRAPH, 3, 3)
-        full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
-        cycle = pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))
-        initial = KepSolution.of([full])
-        u = Attack.of([0], 1)
-        assert objective_value(initial, u, KepSolution.of([cycle]), pool, CHAIN_GRAPH) == 2
-
-    def test_objective_rejects_attacked_recourse(self):
-        pool = build_pool(CHAIN_GRAPH, 3, 3)
-        cycle = pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))
-        with pytest.raises(ValueError, match="attacked"):
-            objective_value(
-                KepSolution.empty(),
-                Attack.of([1], 1),
-                KepSolution.of([cycle]),
-                pool,
-                CHAIN_GRAPH,
-            )

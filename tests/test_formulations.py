@@ -319,3 +319,29 @@ class TestBuiltOnGMinusU:
             beta = graph_arcs if fse and picef else set()
             added = len(kept) + len(arcs) + len(pairs) + len(beta)
             assert master.model.num_variables - before == added
+
+
+class TestPicefIndexOnFirstUse:
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_cc_models_leave_it_unbuilt(self, policy):
+        graph = generate_instance(8, 2, 0.3, seed=5)
+        pool = build_pool(graph, 3, 3)
+        assert pool.cycles and pool.chains
+        master = build_master(pool, graph, policy, Encoding.CC, [Attack.of((), 1)])
+        x = extract_initial_solution(master, master.model.solve())
+        # cut the plan's longest chain after its first arc: FSE keeps that arc
+        chains = [e for e in x.exchanges(pool) if e.kind is ExchangeKind.CHAIN]
+        chain = max(chains, key=lambda e: len(e.vertices))
+        u = Attack.of([chain.vertices[2]], 1)
+        extend_master_with_attack(master, u)
+        extract_initial_solution(master, master.model.solve())
+        sub = build_subproblem(x, pool, graph, policy, Encoding.CC, 1)
+        add_interdiction_cut(sub, x)
+        sub.model.solve()
+        for lifted in (False, True):
+            rec = build_recourse(x, u, pool, graph, policy, Encoding.CC, lifted)
+            extract_cut_solution(rec, rec.model.solve())
+        assert "picef_arcs" not in vars(pool)
+        # a PICEF model builds it on first use
+        build_master(pool, graph, policy, Encoding.PICEF, [u])
+        assert "picef_arcs" in vars(pool)
