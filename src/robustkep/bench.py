@@ -38,6 +38,10 @@ class BenchRecord:
     n_subproblems: int
     bb_nodes: int
 
+    @property
+    def n_vertices(self) -> int:
+        return self.n_pairs + self.n_ndds
+
     def __post_init__(self):
         if self.status not in ("optimal", "timelimit"):
             raise ValueError(f"unknown status {self.status!r}")
@@ -65,22 +69,17 @@ def record_to_row(rec: BenchRecord) -> List[str]:
     return row
 
 
+# how a CSV cell is read back, by its field's declared type
+_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda raw: raw == "on",
+            "Optional[int]": lambda raw: None if raw == "" else int(raw)}
+
+
 def record_from_row(row: Sequence[str]) -> BenchRecord:
     if len(row) != len(CSV_FIELDS):
         raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-    vals: Dict[str, object] = {}
-    for name, raw in zip(CSV_FIELDS, row):
-        if name == "objective":
-            vals[name] = None if raw == "" else int(raw)
-        elif name == "lifting":
-            vals[name] = raw == "on"
-        elif name.startswith("time_"):
-            vals[name] = float(raw)
-        elif name in ("instance_name", "policy", "encoding", "method", "status"):
-            vals[name] = raw
-        else:
-            vals[name] = int(raw)
-    return BenchRecord(**vals)  # type: ignore[arg-type]
+    return BenchRecord(
+        **{f.name: _PARSERS[f.type](raw) for f, raw in zip(fields(BenchRecord), row)}
+    )
 
 
 def write_records(records: Iterable[BenchRecord], stream: TextIO) -> None:
@@ -192,16 +191,7 @@ def aggregate(
     arithmetic means of attack/subproblem/node counts over solved cells."""
     groups: Dict[Tuple, List[BenchRecord]] = {}
     for rec in records:
-        key = (
-            rec.n_pairs + rec.n_ndds,
-            rec.max_cycle_len,
-            rec.max_chain_len,
-            rec.budget,
-            rec.policy,
-            rec.encoding,
-            rec.method,
-            rec.lifting,
-        )
+        key = tuple(getattr(rec, name) for name in GROUP_KEYS)
         groups.setdefault(key, []).append(rec)
     rows: List[Dict[str, object]] = []
     for key in sorted(groups, key=lambda k: tuple(str(t) for t in k)):

@@ -6,6 +6,9 @@ position-indexed arc set used by the PICEF encoding, attack patterns, and
 the weights of the recourse-aware objective (each exchange or PICEF arc
 counts the initially covered pairs it serves).
 
+``Attack.spares`` is the one test of whether vertices (an arc's ends, an
+exchange's vertices) lie in G - u, the graph an attack u leaves.
+
 ``ExchangePool`` is the one index every model builder reads: the exchanges
 through each vertex, and the PICEF arcs derived from the pool's own chains on
 first use, looked up by head, by tail (and position) and by graph arc.
@@ -226,7 +229,9 @@ def picef_positions(graph: CompatibilityGraph, L: int) -> List[PicefArc]:
 
 @dataclass
 class ExchangePool:
-    """Index over all enumerated exchanges: cycles first, then chains.
+    """Index over all enumerated exchanges: ``exchanges`` lists the cycles
+    first, then the chains, each at its pool index; ``cycles`` and ``chains``
+    are its two slices.
 
     ``per_vertex[j]`` lists the indices of exchanges whose vertex set
     contains j, cycles before chains.  ``picef_arcs`` holds every (arc,
@@ -239,18 +244,16 @@ class ExchangePool:
 
     cycles: List[Exchange]
     chains: List[Exchange]
+    exchanges: List[Exchange] = field(init=False)
     per_vertex: Dict[int, List[int]] = field(init=False)
 
     def __post_init__(self):
-        reindexed_cycles = []
-        for i, c in enumerate(self.cycles):
-            reindexed_cycles.append(Exchange(c.kind, c.vertices, i))
-        off = len(self.cycles)
-        reindexed_chains = []
-        for i, d in enumerate(self.chains):
-            reindexed_chains.append(Exchange(d.kind, d.vertices, off + i))
-        self.cycles = reindexed_cycles
-        self.chains = reindexed_chains
+        n = len(self.cycles)
+        self.exchanges = [
+            Exchange(e.kind, e.vertices, i)
+            for i, e in enumerate(self.cycles + self.chains)
+        ]
+        self.cycles, self.chains = self.exchanges[:n], self.exchanges[n:]
         self._by_key = {e.key(): e.index for e in self.exchanges}
         self.per_vertex = {}
         for e in self.exchanges:
@@ -277,17 +280,11 @@ class ExchangePool:
             on.setdefault((a.src, a.dst), []).append(a)
         return into, out, on
 
-    @property
-    def exchanges(self) -> List[Exchange]:
-        return self.cycles + self.chains
-
     def __len__(self) -> int:
-        return len(self.cycles) + len(self.chains)
+        return len(self.exchanges)
 
     def exchange(self, index: int) -> Exchange:
-        if index < len(self.cycles):
-            return self.cycles[index]
-        return self.chains[index - len(self.cycles)]
+        return self.exchanges[index]
 
     def index_of(self, e: Exchange) -> int:
         """Pool index of an exchange given by kind and vertex tuple."""
@@ -369,8 +366,12 @@ class Attack:
     def of(vertices: Iterable[int], budget: int) -> "Attack":
         return Attack(frozenset(vertices), budget)
 
+    def spares(self, *vertices: int) -> bool:
+        """Whether no given vertex is attacked, i.e. all of them lie in G - u."""
+        return self.attacked.isdisjoint(vertices)
+
     def hits(self, e: Exchange) -> bool:
-        return any(v in self.attacked for v in e.vertices)
+        return not self.spares(*e.vertices)
 
 
 def _kept(e: Exchange, attacked: Collection[int]) -> int:

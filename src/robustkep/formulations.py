@@ -91,11 +91,6 @@ def assemble_chains(arcs: Sequence[PicefArc]) -> List[ChainKey]:
 # ---------------------------------------------------------------------------
 
 
-def _spared(u: Attack, i: int, j: int) -> bool:
-    """Whether arc (i, j) lies in G - u: neither end is attacked."""
-    return i not in u.attacked and j not in u.attacked
-
-
 def _cover(
     pool: ExchangePool, j: int, x: Dict[int, int], arcs: Dict[PicefArc, int]
 ) -> List[int]:
@@ -260,9 +255,9 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
 
     structures = pool.cycles if picef else pool.exchanges
     y_vars = {e.index: model.add_variable(BINARY) for e in structures if not u.hits(e)}
-    arcs = [a for a in pool.picef_arcs if _spared(u, a.src, a.dst)] if picef else []
+    arcs = [a for a in pool.picef_arcs if u.spares(a.src, a.dst)] if picef else []
     psi_vars = {a: model.add_variable(BINARY) for a in arcs}
-    pairs = [j for j in graph.pairs if j not in u.attacked]
+    pairs = [j for j in graph.pairs if u.spares(j)]
     z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in pairs}
     beta_vars = _picef_beta(master, u) if fse and picef else {}
 
@@ -287,7 +282,7 @@ def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
     exactly when (i,j) lies on an initial chain whose prefix up to j has no
     attacked vertex."""
     model, graph, pool = master.model, master.graph, master.pool
-    beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs if _spared(u, *arc)}
+    beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs if u.spares(*arc)}
     for (i, j), b in beta_vars.items():
         # an NDD's arcs only sit at position 1, so for it these are the first arcs
         xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
@@ -341,9 +336,10 @@ class SubproblemHandle:
     z_var: int
     u_vars: Dict[int, int]
     z_vars: Dict[int, int]
-    zeta_vars: Dict[ChainKey, Dict[Arc, int]] = field(default_factory=dict)
+    # FSE: pool indices of the exchanges the FSE rule can keep of the plan
+    enforceable: Set[int]
+    zeta_vars: Dict[int, Dict[Arc, int]] = field(default_factory=dict)  # by pool index
     t_vars: Dict[int, int] = field(default_factory=dict)
-    enf_chain_keys: Set[ChainKey] = field(default_factory=set)
 
 
 def build_subproblem(
@@ -360,25 +356,13 @@ def build_subproblem(
     u_vars = {j: model.add_variable(BINARY) for j in range(graph.num_vertices)}
     model.add_row([(v, 1.0) for v in u_vars.values()], LESS_EQUAL, float(budget))
 
-    initial_pairs = initial.initial_pairs(pool, graph)
-    sub = SubproblemHandle(
-        model,
-        graph,
-        pool,
-        policy,
-        encoding,
-        budget,
-        initial_pairs,
-        z_var,
-        u_vars,
-        {},
-    )
-
     fse = policy is Policy.FIX_SUCCESSFUL
     picef = encoding is Encoding.PICEF
-    enf = enforceable_set(initial, pool) if fse else []
-    enf_idx = {e.index for e in enf}
-    sub.enf_chain_keys = {e.vertices for e in enf if e.kind is ExchangeKind.CHAIN}
+    enf_idx = {e.index for e in enforceable_set(initial, pool)} if fse else set()
+    sub = SubproblemHandle(
+        model, graph, pool, policy, encoding, budget,
+        initial.initial_pairs(pool, graph), z_var, u_vars, {}, enf_idx,
+    )
 
     structures = pool.cycles if picef else pool.exchanges
     for e in structures:
@@ -410,18 +394,21 @@ def build_subproblem(
             t = [sub.t_vars[j] for j in e.vertices]
             _survival_rows(model, z, e.vertices, u_vars, t)
     if fse and picef:
-        for key in sorted(sub.enf_chain_keys):
-            _materialize_chain(sub, key)
+        # in vertex order, not pool order: the order fixes the column order
+        chains = [e for e in map(pool.exchange, enf_idx) if e.kind is ExchangeKind.CHAIN]
+        for d in sorted(chains, key=lambda e: e.vertices):
+            _materialize_chain(sub, d)
     return sub
 
 
-def _materialize_chain(sub: SubproblemHandle, vertices: ChainKey) -> Dict[Arc, int]:
+def _materialize_chain(sub: SubproblemHandle, d: Exchange) -> Dict[Arc, int]:
     """Chain-indexed edge variables zeta^d plus their policy rows."""
-    if vertices in sub.zeta_vars:
-        return sub.zeta_vars[vertices]
+    if d.index in sub.zeta_vars:
+        return sub.zeta_vars[d.index]
     model = sub.model
     fse = sub.policy is Policy.FIX_SUCCESSFUL
-    enforced = vertices in sub.enf_chain_keys
+    enforced = d.index in sub.enforceable
+    vertices = d.vertices
     zvars: Dict[Arc, int] = {}
     for end in range(1, len(vertices)):
         i, j = vertices[end - 1], vertices[end]
@@ -434,7 +421,7 @@ def _materialize_chain(sub: SubproblemHandle, vertices: ChainKey) -> Dict[Arc, i
             model.add_row([(sub.t_vars[j], 1.0), (zeta, -1.0)], EQUAL, 0.0)
             if sub.graph.is_ndd(i):
                 model.add_row([(sub.t_vars[i], 1.0), (zeta, -1.0)], EQUAL, 0.0)
-    sub.zeta_vars[vertices] = zvars
+    sub.zeta_vars[d.index] = zvars
     return zvars
 
 
@@ -451,7 +438,7 @@ def add_interdiction_cut(sub: SubproblemHandle, S: KepSolution) -> int:
             if w:
                 coeffs.append((sub.z_vars[e.index], -float(w)))
         else:
-            zvars = _materialize_chain(sub, e.vertices)
+            zvars = _materialize_chain(sub, e)
             for (i, j), zeta in zvars.items():
                 w = arc_weight(j, pairs)
                 if w:
@@ -488,7 +475,6 @@ def solve_subproblem_at(
 class RecourseHandle:
     model: MilpModel
     pool: ExchangePool
-    encoding: Encoding
     lifted: bool
     u: Attack
     initial_pairs: Set[int]
@@ -530,18 +516,18 @@ def build_recourse(
             y_vars[e.index] = model.add_variable(BINARY, obj=float(w * nv + 1 if lifted else w))
         elif lifted:
             y_vars[e.index] = model.add_variable(BINARY, obj=1.0)
-    rec = RecourseHandle(model, pool, encoding, lifted, u, initial_pairs, y_vars)
+    rec = RecourseHandle(model, pool, lifted, u, initial_pairs, y_vars)
 
     arcs = rec.picef_vars
     for a in pool.picef_arcs if picef else ():
-        if lifted or _spared(u, a.src, a.dst):
+        if lifted or u.spares(a.src, a.dst):
             w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
             arcs[a] = model.add_variable(BINARY, obj=w)
     _packing_rows(model, pool, graph, y_vars, arcs)
     psi_arc = rec.psi_arc_vars
     if picef and lifted:
         for (i, j) in graph.arcs:
-            if pool.arcs_on(i, j) and _spared(u, i, j):
+            if pool.arcs_on(i, j) and u.spares(i, j):
                 w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
                 psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
         # psi_ij needs eta on (i, j), so eta's packing rows cover psi too, and

@@ -3,7 +3,9 @@
 Two interchangeable formats: a line-oriented text format (header
 "nPairs nNDDs nArcs" followed by one "src dst" arc per line, 0-based,
 pairs numbered before NDDs) and a JSON object
-{"pairs": n, "ndds": m, "arcs": [[i, j], ...]}.
+{"pairs": n, "ndds": m, "arcs": [[i, j], ...]}.  In both, the counts and
+arc ends are integers: JSON numbers with a fraction, strings and booleans
+are rejected.
 """
 
 from __future__ import annotations
@@ -32,20 +34,18 @@ def _parse_json(text: str) -> CompatibilityGraph:
         if key not in data:
             raise ValueError(f"JSON instance missing key {key!r}")
     pairs, ndds = data["pairs"], data["ndds"]
-    try:
-        pairs, ndds = int(pairs), int(ndds)
-    except (TypeError, ValueError):
-        raise ValueError(f"non-integer JSON vertex counts {pairs!r} {ndds!r}") from None
+    # ``type(...) is int`` rejects floats, strings and bools alike
+    if not (type(pairs) is int and type(ndds) is int):
+        raise ValueError(f"non-integer JSON vertex counts {pairs!r} {ndds!r}")
     if not isinstance(data["arcs"], list):
         raise ValueError(f"JSON 'arcs' must be a list, got {data['arcs']!r}")
     arcs = []
     for entry in data["arcs"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"malformed JSON arc {entry!r}: expected [src, dst]")
-        try:
-            arcs.append((int(entry[0]), int(entry[1])))
-        except (TypeError, ValueError):
-            raise ValueError(f"non-integer JSON arc {entry!r}") from None
+        if not all(type(v) is int for v in entry):
+            raise ValueError(f"non-integer JSON arc {entry!r}")
+        arcs.append(tuple(entry))
     return CompatibilityGraph(pairs, ndds, tuple(arcs))
 
 

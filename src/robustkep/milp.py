@@ -177,15 +177,13 @@ class MilpModel:
         improvement = 1.0 - 1e-6 if self.integral_objective else GAP_TOL
         nodes = 0
         lp_iters = 0
-        hit_limit = False
 
         # stack entries: (bound overrides, parent LP bound)
         stack: List[Tuple[Dict[int, float], float]] = [({}, -np.inf)]
 
         while stack:
             if time_limit is not None and time.perf_counter() - start > time_limit:
-                hit_limit = True
-                break
+                break  # the open nodes stay on the stack
             overrides, parent_bound = stack.pop()
             if parent_bound >= incumbent_val - improvement:
                 continue
@@ -227,26 +225,17 @@ class MilpModel:
                 children.reverse()
             stack.extend(children)  # last pushed is explored first
 
-        if hit_limit:
-            open_bounds = [pb for (_, pb) in stack]
-            best_bound = min([incumbent_val] + open_bounds)
-            return SolveOutcome(
-                SolveStatus.TIME_LIMIT,
-                None if incumbent is None else sign * incumbent_val,
-                None if incumbent is None else list(incumbent),
-                sign * best_bound,
-                nodes,
-                lp_iters,
-            )
-        if incumbent is None:
-            return SolveOutcome(
-                SolveStatus.INFEASIBLE, None, None, sign * np.inf, nodes, lp_iters
-            )
+        found = incumbent is not None
+        if stack:
+            status = SolveStatus.TIME_LIMIT
+        else:
+            status = SolveStatus.OPTIMAL if found else SolveStatus.INFEASIBLE
         return SolveOutcome(
-            SolveStatus.OPTIMAL,
-            sign * incumbent_val,
-            list(incumbent),
-            sign * incumbent_val,
+            status,
+            sign * incumbent_val if found else None,
+            list(incumbent) if found else None,
+            # the best open bound; the incumbent's value once no node is open
+            sign * min([incumbent_val] + [pb for (_, pb) in stack]),
             nodes,
             lp_iters,
         )

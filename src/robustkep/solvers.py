@@ -28,6 +28,7 @@ from .core import (
 )
 from .formulations import (
     Encoding,
+    RecourseHandle,
     add_interdiction_cut,
     build_master,
     build_recourse,
@@ -37,7 +38,7 @@ from .formulations import (
     extract_cut_solution,
     extract_initial_solution,
 )
-from .milp import SolveStatus
+from .milp import SolveOutcome, SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
@@ -66,6 +67,8 @@ class RobustConfig:
             raise ValueError("cycle length, chain length and budget must be >= 0")
         if self.subproblem_method not in (METHOD_CUT, METHOD_BB, METHOD_ORACLE):
             raise ValueError(f"unknown subproblem method {self.subproblem_method!r}")
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN fails too
+            raise ValueError(f"time limit must be a positive number, got {self.time_limit!r}")
 
 
 @dataclass
@@ -113,6 +116,19 @@ def _check(outcome) -> None:
         raise RuntimeError(f"unexpected solve status {outcome.status}")
 
 
+def _recourse(
+    initial: KepSolution, u: Attack, pool: ExchangePool, graph: CompatibilityGraph,
+    policy: Policy, encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
+) -> Tuple[RecourseHandle, SolveOutcome]:
+    """Build and solve the recourse model under u, on the stage-3 clock."""
+    t0 = time.perf_counter()
+    rec = build_recourse(initial, u, pool, graph, policy, encoding, lifted=lifted)
+    outcome = rec.model.solve(clock.remaining())
+    stats.time_stage3 += time.perf_counter() - t0
+    _check(outcome)
+    return rec, outcome
+
+
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     """Optimal initial solution maximizing the worst-case recourse value."""
     pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
@@ -137,14 +153,8 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             z_bar = outcome.int_objective()
             if z_bar == 0:
                 # the robust optimum is 0; the empty plan is certified by the
-                # empty attack, which x_bar need not be
-                best = RobustResult(
-                    0,
-                    KepSolution.empty(),
-                    Attack.of((), cfg.budget),
-                    "optimal",
-                    stats,
-                )
+                # empty attack, which x_bar need not be: the placeholder holds both
+                best.status = "optimal"
                 break
             x_bar = extract_initial_solution(master, outcome)
             s_val, u_star = _solve_subproblem(
@@ -234,19 +244,9 @@ def solve_attack_subproblem_cuttingplane(
         stats.bb_nodes += outcome.nodes_explored
         z_sub = outcome.int_objective()
         u = extract_attack(sub, outcome)
-        t0 = time.perf_counter()
-        rec = build_recourse(
-            initial,
-            u,
-            pool,
-            graph,
-            policy,
-            encoding,
-            lifted=lifting,
+        rec, rec_out = _recourse(
+            initial, u, pool, graph, policy, encoding, lifting, clock, stats
         )
-        rec_out = rec.model.solve(clock.remaining())
-        stats.time_stage3 += time.perf_counter() - t0
-        _check(rec_out)
         stats.bb_nodes += rec_out.nodes_explored
         cut_sol, r = extract_cut_solution(rec, rec_out)
         if r <= z_sub or (master_value is not None and r < master_value):
@@ -318,19 +318,9 @@ def solve_attack_subproblem_bb(
             a1, a0, budget, nv, init_exchanges, weights
         )
         u = Attack.of(attacked, budget)
-        t0 = time.perf_counter()
-        rec = build_recourse(
-            initial,
-            u,
-            pool,
-            graph,
-            policy,
-            Encoding.CC,
-            lifted=False,
+        _, out = _recourse(
+            initial, u, pool, graph, policy, Encoding.CC, False, clock, stats
         )
-        out = rec.model.solve(clock.remaining())
-        stats.time_stage3 += time.perf_counter() - t0
-        _check(out)
         val = out.int_objective()
         if val < best_val:
             best_val = val

@@ -78,6 +78,12 @@ class TestInstanceFormats:
             ({"arcs": [[0, 1, 2]]}, r"malformed JSON arc \[0, 1, 2\]"),
             ({"arcs": [[0, "x"]]}, r"non-integer JSON arc \[0, 'x'\]"),
             ({"pairs": None}, "non-integer JSON vertex counts None 0"),
+            ({"pairs": 2.7}, "non-integer JSON vertex counts 2.7 0"),
+            ({"ndds": True}, "non-integer JSON vertex counts 2 True"),
+            ({"pairs": "2"}, "non-integer JSON vertex counts '2' 0"),
+            ({"arcs": [[0.9, 1]]}, r"non-integer JSON arc \[0.9, 1\]"),
+            ({"arcs": [[1, "0"]]}, r"non-integer JSON arc \[1, '0'\]"),
+            ({"arcs": [[True, 1]]}, r"non-integer JSON arc \[True, 1\]"),
         ],
     )
     def test_json_malformed(self, fields, match):

@@ -139,6 +139,12 @@ class TestPool:
         assert pool.exchange(pool.index_of(full)).vertices == (3, 0, 1, 2)
         with pytest.raises(KeyError):
             pool.index_of(Exchange(ExchangeKind.CYCLE, (0, 1)))
+        n = len(pool.cycles)
+        assert pool.cycles == pool.exchanges[:n]
+        assert pool.chains == pool.exchanges[n:]
+        for i in range(len(pool)):
+            assert pool.exchange(i) is pool.exchanges[i]
+            assert pool.exchange(i).index == i
 
     def test_involving(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
@@ -170,6 +176,17 @@ class TestSolutionAndAttack:
         u = Attack.of([1], 2)
         assert u.hits(Exchange(ExchangeKind.CYCLE, (1, 2)))
         assert not u.hits(Exchange(ExchangeKind.CHAIN, (3, 0)))
+
+    def test_spares_agrees_with_hits(self):
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        for attacked in [(), (0,), (3,), (1, 2), (0, 3)]:
+            u = Attack.of(attacked, 2)
+            assert u.spares()
+            for e in pool.exchanges:
+                assert u.spares(*e.vertices) is not u.hits(e)
+                assert u.spares(*e.vertices) is all(v not in attacked for v in e.vertices)
+        assert not Attack.of([3], 1).spares(3, 0)
+        assert Attack.of([3], 1).spares(0, 1)
 
 
 class TestFixSuccessfulConstructs:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 
@@ -149,6 +150,42 @@ def lp_path(request, monkeypatch):
     if request.param == "linprog":
         monkeypatch.setattr(milp, "_highs", None)
     return request.param
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """milp's clock reads 0, 1, 2, ... seconds: one tick per reading, so a
+    solve with limit t + 0.5 explores t nodes and stops."""
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    monkeypatch.setattr(milp, "time", clock)
+
+
+class TestTimeLimit:
+    def model(self):
+        # max 4a + 5b + 7c + 8d + 9e + 11f  s.t.  3a + 4b + 5c + 6d + 7e + 8f <= 15;
+        # the optimum 20 takes 41 nodes
+        m = MilpModel("max")
+        xs = [m.add_variable(BINARY, obj=v) for v in (4, 5, 7, 8, 9, 11)]
+        m.add_row(list(zip(xs, (3, 4, 5, 6, 7, 8))), LESS_EQUAL, 15)
+        return m
+
+    def test_stops_before_an_incumbent(self, lp_path, ticking_clock):
+        out = self.model().solve(1.5)
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.objective is None and out.assignment is None
+        assert out.nodes_explored == 1
+        assert out.best_bound >= 20  # the root LP bound
+
+    def test_stops_with_an_incumbent(self, lp_path, ticking_clock):
+        m = self.model()
+        out = m.solve(12.5)
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.nodes_explored == 12
+        assert out.objective == 19  # found, but not yet proven or improved
+        assert out.objective == sum(c * x for c, x in zip(m.obj, out.assignment))
+        assert all(x in (0.0, 1.0) for x in out.assignment)
+        assert out.best_bound >= 20 > out.objective
 
 
 class TestEmptyRow:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import types
 
 import pytest
 
@@ -14,7 +16,7 @@ from robustkep import (
     generate_instance,
     solve_robust,
 )
-from robustkep import solvers
+from robustkep import milp, solvers
 from robustkep.solvers import (
     RobustStats,
     brute_force_attack,
@@ -90,6 +92,31 @@ class TestSolveRobust:
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="subproblem method"):
             RobustConfig(3, 3, 1, subproblem_method="simplex")
+
+    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+    def test_bad_time_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="time limit must be a positive"):
+            RobustConfig(3, 3, 1, time_limit=limit)
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    @pytest.mark.parametrize("stop_at", [1, 2, 3])
+    def test_model_time_limit_ends_solve(self, monkeypatch, method, stop_at):
+        """The model solve numbered ``stop_at`` (master, then attacker or
+        recourse) hits its limit on a clock that ticks once per reading."""
+        ticks = itertools.count()
+        clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        monkeypatch.setattr(milp, "time", clock)
+        real_solve = milp.MilpModel.solve
+        calls = itertools.count(1)
+
+        def solve(model, time_limit=None):
+            if next(calls) == stop_at:
+                time_limit = 0.5  # stops before the root node
+            return real_solve(model, time_limit)
+
+        monkeypatch.setattr(milp.MilpModel, "solve", solve)
+        cfg = RobustConfig(3, 3, 1, subproblem_method=method)
+        assert solve_robust(CHAIN_GRAPH, cfg).status == "timelimit"
 
 
 class TestSubproblemSolvers:
