@@ -90,19 +90,18 @@ def write_records(records: Iterable[BenchRecord], stream: TextIO) -> None:
 
 
 def read_records(stream: TextIO) -> List[BenchRecord]:
-    reader = csv.reader(stream)
-    rows = [r for r in reader if r]
+    """Records of a CSV that starts with its header, as written here."""
+    rows = [r for r in csv.reader(stream) if r]
     if not rows:
         return []
-    if rows[0][:1] == [CSV_FIELDS[0]]:
-        header = rows.pop(0)
-        if header != CSV_FIELDS:
-            missing = [f for f in CSV_FIELDS if f not in header]
-            unexpected = [f for f in header if f not in CSV_FIELDS]
-            raise ValueError(
-                f"CSV header differs from {len(CSV_FIELDS)} columns: "
-                f"missing {missing}, unexpected {unexpected}"
-            )
+    header = rows.pop(0)
+    if header != CSV_FIELDS:
+        missing = [f for f in CSV_FIELDS if f not in header]
+        unexpected = [f for f in header if f not in CSV_FIELDS]
+        raise ValueError(
+            f"CSV header differs from {len(CSV_FIELDS)} columns: "
+            f"missing {missing}, unexpected {unexpected}"
+        )
     return [record_from_row(r) for r in rows]
 
 

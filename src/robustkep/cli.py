@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .bench import (
     DEFAULT_SHIFT,
@@ -19,6 +20,16 @@ from .core import Policy
 from .formulations import Encoding
 from .io import generate_instance, parse_instance, render_instance
 from .solvers import RobustConfig, solve_robust
+
+
+@contextlib.contextmanager
+def _input_errors(command: str) -> Iterator[None]:
+    """End the command on bad input with one stderr line and exit status 1."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        print(f"robustkep {command}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _read_text(path: str) -> str:
@@ -50,14 +61,14 @@ def _add_config_flags(p: argparse.ArgumentParser, multi: bool) -> None:
     p.add_argument("--budget", default="1", help=f"attack budget{note}")
     p.add_argument("--policy", default="fr", help=f"fr|fse{note}")
     p.add_argument("--formulation", default="cc", help=f"cc|picef{note}")
-    p.add_argument("--method", default="cut", help=f"cut|bb|oracle{note}")
+    p.add_argument("--method", default="cut", help=f"cut|bb{note}")
     p.add_argument("--lifting", default="on", help=f"on|off{note}")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
 
 
 def _flag(raw: str) -> bool:
     if raw not in ("on", "off"):
-        raise SystemExit(f"expected on|off, got {raw!r}")
+        raise ValueError(f"--lifting: expected on|off, got {raw!r}")
     return raw == "on"
 
 
@@ -85,8 +96,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if listed:
         flags = ", ".join("--" + name.replace("_", "-") for name in listed)
         raise SystemExit(f"{flags}: solve takes one value per flag, bench takes lists")
-    graph = parse_instance(_read_text(args.input))
-    (cfg,) = _configs(args)
+    with _input_errors("solve"):
+        graph = parse_instance(_read_text(args.input))
+        (cfg,) = _configs(args)
     result = solve_robust(graph, cfg)
     lines = [f"status: {result.status}"]
     if result.status == "optimal":
@@ -105,14 +117,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = generate_instance(args.pairs, args.ndds, args.density, args.seed)
+    with _input_errors("generate"):
+        graph = generate_instance(args.pairs, args.ndds, args.density, args.seed)
     _write_text(args.output, render_instance(graph, args.format))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    instances = [(path, parse_instance(_read_text(path))) for path in args.input]
-    configs = _configs(args)
+    with _input_errors("bench"):
+        instances = [(path, parse_instance(_read_text(path))) for path in args.input]
+        configs = _configs(args)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             run_matrix(instances, configs, fh)
@@ -122,7 +136,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
+    with _input_errors("aggregate"), open(args.input, encoding="utf-8", newline="") as fh:
         records = read_records(fh)
     rows = aggregate(records, args.shift)
     _write_text(args.output, summary_to_csv(rows))

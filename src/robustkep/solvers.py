@@ -42,7 +42,6 @@ from .milp import SolveOutcome, SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
-METHOD_ORACLE = "oracle"
 
 
 class TimeBudgetExceeded(Exception):
@@ -65,7 +64,11 @@ class RobustConfig:
     def __post_init__(self):
         if self.max_cycle_len < 0 or self.max_chain_len < 0 or self.budget < 0:
             raise ValueError("cycle length, chain length and budget must be >= 0")
-        if self.subproblem_method not in (METHOD_CUT, METHOD_BB, METHOD_ORACLE):
+        if not isinstance(self.policy, Policy):
+            raise ValueError(f"unknown policy {self.policy!r}: expected a Policy member")
+        if not isinstance(self.encoding, Encoding):
+            raise ValueError(f"unknown encoding {self.encoding!r}: expected an Encoding member")
+        if self.subproblem_method not in (METHOD_CUT, METHOD_BB):
             raise ValueError(f"unknown subproblem method {self.subproblem_method!r}")
         if self.time_limit is not None and not self.time_limit > 0:  # NaN fails too
             raise ValueError(f"time limit must be a positive number, got {self.time_limit!r}")
@@ -131,19 +134,12 @@ def _recourse(
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     """Optimal initial solution maximizing the worst-case recourse value."""
+    clock = _Clock(cfg.time_limit)  # the limit and time_total include enumeration
     pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
-    clock = _Clock(cfg.time_limit)
     stats = RobustStats()
-    master = build_master(
-        pool,
-        graph,
-        cfg.policy,
-        cfg.encoding,
-        [Attack.of((), cfg.budget)],
-    )
-    best = RobustResult(
-        0, KepSolution.empty(), Attack.of((), cfg.budget), "timelimit", stats
-    )
+    no_attack = Attack.of((), cfg.budget)
+    master = build_master(pool, graph, cfg.policy, cfg.encoding, [no_attack])
+    best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
     try:
         while True:
             stats.master_iterations += 1
@@ -157,9 +153,16 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
                 best.status = "optimal"
                 break
             x_bar = extract_initial_solution(master, outcome)
-            s_val, u_star = _solve_subproblem(
-                x_bar, pool, graph, cfg, z_bar, clock, stats
-            )
+            if cfg.subproblem_method == METHOD_CUT:
+                s_val, u_star = solve_attack_subproblem_cuttingplane(
+                    x_bar, pool, graph, cfg.policy, cfg.encoding, cfg.budget,
+                    lifting=cfg.lifting, master_value=z_bar, clock=clock, stats=stats,
+                )
+            else:
+                s_val, u_star = solve_attack_subproblem_bb(
+                    x_bar, pool, graph, cfg.policy, cfg.budget,
+                    master_value=z_bar, clock=clock, stats=stats,
+                )
             if s_val < z_bar:
                 extend_master_with_attack(master, u_star)
                 continue
@@ -171,44 +174,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     stats.time_total = clock.elapsed()
     best.exchanges = best.initial.exchanges(pool)
     return best
-
-
-def _solve_subproblem(
-    initial: KepSolution,
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-    cfg: RobustConfig,
-    master_value: int,
-    clock: _Clock,
-    stats: RobustStats,
-) -> Tuple[int, Attack]:
-    if cfg.subproblem_method == METHOD_CUT:
-        return solve_attack_subproblem_cuttingplane(
-            initial,
-            pool,
-            graph,
-            cfg.policy,
-            cfg.encoding,
-            cfg.budget,
-            lifting=cfg.lifting,
-            master_value=master_value,
-            clock=clock,
-            stats=stats,
-        )
-    if cfg.subproblem_method == METHOD_BB:
-        return solve_attack_subproblem_bb(
-            initial,
-            pool,
-            graph,
-            cfg.policy,
-            cfg.budget,
-            master_value=master_value,
-            clock=clock,
-            stats=stats,
-        )
-    stats.n_subproblems += 1
-    value, attack = brute_force_attack(initial, pool, graph, cfg.policy, cfg.budget)
-    return value, attack
 
 
 def solve_attack_subproblem_cuttingplane(

@@ -25,6 +25,7 @@ from robustkep.bench import (
     summary_to_table,
     write_records,
 )
+from robustkep import cli
 from robustkep.cli import main
 
 KEP_TEXT = "3 1 4\n3 0\n0 1\n1 2\n2 1\n"
@@ -163,6 +164,14 @@ class TestBenchRecord:
         old = [lines[0] + ",seed", lines[1] + ",7"]
         with pytest.raises(ValueError, match=r"missing \[\], unexpected \['seed'\]"):
             read_records(io.StringIO("\n".join(old) + "\n"))
+
+    def test_csv_without_header_rejected(self):
+        # every writer puts the header first, so a leading data row is an error
+        buf = io.StringIO()
+        write_records([make_record()], buf)
+        data_only = buf.getvalue().splitlines()[1]
+        with pytest.raises(ValueError, match="CSV header differs.*unexpected \\['inst"):
+            read_records(io.StringIO(data_only + "\n"))
 
 
 class TestRunMatrix:
@@ -341,3 +350,41 @@ class TestCli:
             for e in result.exchanges
         ]
         assert expected and printed == expected
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["solve", "--input", "{dir}/bad.json"], "non-integer JSON vertex counts 2.7"),
+            (["solve", "--input", "{dir}/missing.kep"], "No such file"),
+            (["solve", "--input", "{dir}/g.kep", "--budget", "x"], "'x'"),
+            (["solve", "--input", "{dir}/g.kep", "--time-limit", "nan"], "time limit"),
+            (["solve", "--input", "{dir}/g.kep", "--lifting", "maybe"], "on|off"),
+            (["bench", "--input", "{dir}/g.kep", "--policy", "fr,xx"], "'xx'"),
+            (["generate", "--pairs", "4", "--density", "2"], "density 2.0"),
+            (["aggregate", "--input", "{dir}/g.kep"], "CSV header differs"),
+        ],
+        ids=["json-float", "missing-file", "budget", "time-limit", "lifting",
+             "bench-policy", "density", "aggregate-non-csv"],
+    )
+    def test_input_error_is_one_line(self, tmp_path, capsys, argv, cause):
+        (tmp_path / "g.kep").write_text(KEP_TEXT)
+        (tmp_path / "bad.json").write_text('{"pairs": 2.7, "ndds": 0, "arcs": []}')
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(dir=tmp_path) for a in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"robustkep {argv[0]}: ") and cause in line
+        assert "Traceback" not in captured.err
+
+    def test_solver_error_propagates(self, tmp_path, monkeypatch):
+        # only reading input is guarded; a ValueError from the solve is a bug
+        def broken(graph, cfg):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(cli, "solve_robust", broken)
+        inst = tmp_path / "g.kep"
+        inst.write_text(KEP_TEXT)
+        with pytest.raises(ValueError, match="solver bug"):
+            main(["solve", "--input", str(inst)])

@@ -40,7 +40,7 @@ def full_chain_solution(pool):
 
 class TestSolveRobust:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
-    @pytest.mark.parametrize("method", ["cut", "bb", "oracle"])
+    @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_worked_instance_budget_one(self, encoding, method):
         cfg = RobustConfig(3, 3, 1, Policy.FULL_RECOURSE, encoding, method)
         result = solve_robust(CHAIN_GRAPH, cfg)
@@ -90,8 +90,31 @@ class TestSolveRobust:
         assert solve_robust(g, cfg).status == "timelimit"
 
     def test_bad_method_rejected(self):
-        with pytest.raises(ValueError, match="subproblem method"):
-            RobustConfig(3, 3, 1, subproblem_method="simplex")
+        for method in ("simplex", "oracle"):
+            with pytest.raises(ValueError, match=f"subproblem method '{method}'"):
+                RobustConfig(3, 3, 1, subproblem_method=method)
+
+    @pytest.mark.parametrize("field, value", [("policy", "fse"), ("encoding", "picef")])
+    def test_string_policy_or_encoding_rejected(self, field, value):
+        # a string is not identical to any member, so the builders' ``is``
+        # tests would read "fse" as full recourse and "picef" as CC
+        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
+            RobustConfig(3, 3, 2, **{field: value})
+
+    def test_time_counts_pool_enumeration(self, monkeypatch):
+        now = [0.0]
+        clock = types.SimpleNamespace(perf_counter=lambda: now[0])
+        monkeypatch.setattr(solvers, "time", clock)
+        real_build_pool = solvers.build_pool
+
+        def slow_build_pool(*args):
+            now[0] += 5.0  # enumeration alone outlasts the limit
+            return real_build_pool(*args)
+
+        monkeypatch.setattr(solvers, "build_pool", slow_build_pool)
+        result = solve_robust(CHAIN_GRAPH, RobustConfig(3, 3, 1, time_limit=1.0))
+        assert result.status == "timelimit"
+        assert result.stats.time_total >= 5.0
 
     @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
     def test_bad_time_limit_rejected(self, limit):
