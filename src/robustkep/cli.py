@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import itertools
 import sys
-from typing import Iterator, List, Optional
+from typing import ContextManager, Iterator, List, Optional, TextIO
 
 from .bench import (
     DEFAULT_SHIFT,
@@ -24,7 +24,8 @@ from .solvers import RobustConfig, solve_robust
 
 @contextlib.contextmanager
 def _input_errors(command: str) -> Iterator[None]:
-    """End the command on bad input with one stderr line and exit status 1."""
+    """End the command on bad input or an unwritable output path with one
+    stderr line and exit status 1."""
     try:
         yield
     except (ValueError, OSError) as exc:
@@ -39,12 +40,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _open_output(path: Optional[str], newline: Optional[str] = None) -> ContextManager[TextIO]:
+    """The output stream, opened before any work: stdout for None or -."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 # the config flags' argparse destinations; bench takes a list in each
@@ -66,6 +66,13 @@ def _add_config_flags(p: argparse.ArgumentParser, multi: bool) -> None:
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
 
 
+def _int(flag: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{flag}: expected an integer, got {raw!r}") from None
+
+
 def _flag(raw: str) -> bool:
     if raw not in ("on", "off"):
         raise ValueError(f"--lifting: expected on|off, got {raw!r}")
@@ -76,9 +83,9 @@ def _configs(args: argparse.Namespace) -> List[RobustConfig]:
     lists = [getattr(args, name) for name in CONFIG_FLAGS]
     return [
         RobustConfig(
-            max_cycle_len=int(k),
-            max_chain_len=int(length),
-            budget=int(b),
+            max_cycle_len=_int("--cycle-len", k),
+            max_chain_len=_int("--chain-len", length),
+            budget=_int("--budget", b),
             policy=Policy(pol),
             encoding=Encoding(enc),
             subproblem_method=method,
@@ -99,27 +106,31 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     with _input_errors("solve"):
         graph = parse_instance(_read_text(args.input))
         (cfg,) = _configs(args)
-    result = solve_robust(graph, cfg)
-    lines = [f"status: {result.status}"]
-    if result.status == "optimal":
-        lines.append(f"objective: {result.value}")
-    for e in result.exchanges:
-        lines.append(f"  {e.kind.value}: {' '.join(str(v) for v in e.vertices)}")
-    lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")
-    st = result.stats
-    lines.append(
-        f"iterations: {st.master_iterations}  attacks: {st.n_attacks}  "
-        f"subproblems: {st.n_subproblems}  nodes: {st.bb_nodes}  "
-        f"time: {st.time_total:.3f}s"
-    )
-    _write_text(args.output, "\n".join(lines) + "\n")
+        out = _open_output(args.output)
+    with out as fh:
+        result = solve_robust(graph, cfg)
+        lines = [f"status: {result.status}"]
+        if result.status == "optimal":
+            lines.append(f"objective: {result.value}")
+        for e in result.exchanges:
+            lines.append(f"  {e.kind.value}: {' '.join(str(v) for v in e.vertices)}")
+        lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")
+        st = result.stats
+        lines.append(
+            f"iterations: {st.master_iterations}  attacks: {st.n_attacks}  "
+            f"subproblems: {st.n_subproblems}  nodes: {st.bb_nodes}  "
+            f"time: {st.time_total:.3f}s"
+        )
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     with _input_errors("generate"):
         graph = generate_instance(args.pairs, args.ndds, args.density, args.seed)
-    _write_text(args.output, render_instance(graph, args.format))
+        out = _open_output(args.output)
+    with out as fh:
+        fh.write(render_instance(graph, args.format))
     return 0
 
 
@@ -127,19 +138,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with _input_errors("bench"):
         instances = [(path, parse_instance(_read_text(path))) for path in args.input]
         configs = _configs(args)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            run_matrix(instances, configs, fh)
-    else:
-        run_matrix(instances, configs, sys.stdout)
+        out = _open_output(args.output, newline="")
+    with out as fh:
+        run_matrix(instances, configs, fh)
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    with _input_errors("aggregate"), open(args.input, encoding="utf-8", newline="") as fh:
-        records = read_records(fh)
-    rows = aggregate(records, args.shift)
-    _write_text(args.output, summary_to_csv(rows))
+    with _input_errors("aggregate"):
+        with open(args.input, encoding="utf-8", newline="") as fh:
+            records = read_records(fh)
+        out = _open_output(args.output)
+    with out as fh:
+        rows = aggregate(records, args.shift)
+        fh.write(summary_to_csv(rows))
     if args.output and args.output != "-":
         sys.stdout.write(summary_to_table(rows))
     return 0

@@ -138,12 +138,6 @@ class MilpModel:
 
     # -- solving ---------------------------------------------------------
 
-    def _constraint_matrix(self):
-        """All rows as one CSR matrix with row lower and upper bounds."""
-        shape = (self.num_rows, self.num_variables)
-        a = csr_matrix((self.data, self.indices, self.indptr), shape=shape)
-        return a, np.array(self.row_lo), np.array(self.row_hi)
-
     def solve(self, time_limit: Optional[float] = None) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
 
@@ -165,7 +159,7 @@ class MilpModel:
         sign = -1.0 if self.sense == "max" else 1.0
         c = sign * np.asarray(self.obj, dtype=float)
         node_lp = _warm_node_lp if _highs is not None else _cold_node_lp
-        solve_lp = node_lp(c, *self._constraint_matrix())
+        solve_lp = node_lp(c, self)
 
         base_lb = np.asarray(self.lb, dtype=float)
         base_ub = np.asarray(self.ub, dtype=float)
@@ -248,28 +242,18 @@ class MilpModel:
 # iterations), with x None when the node is infeasible.
 
 
-def _warm_node_lp(c, a, row_lo, row_hi):
+def _warm_node_lp(c, model):
     """Node LPs on one HiGHS instance: each node changes only column bounds,
     so the dual simplex restarts from the previous node's basis."""
     n = len(c)
-    csc = a.tocsc()
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = a.shape[0]
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n)  # every node sets its own column bounds
-    lp.col_upper_ = np.zeros(n)
-    lp.row_lower_ = row_lo
-    lp.row_upper_ = row_hi
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = a.shape[0]
-    lp.a_matrix_.start_ = csc.indptr
-    lp.a_matrix_.index_ = csc.indices
-    lp.a_matrix_.value_ = csc.data
+    zeros = np.zeros(n)  # every node sets its own column bounds
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
-    highs.passModel(lp)
+    highs.passModel(
+        n, model.num_rows, len(model.data), _highs.MatrixFormat.kRowwise,
+        _highs.ObjSense.kMinimize, 0.0, c, zeros, zeros, model.row_lo, model.row_hi,
+        model.indptr, model.indices, model.data, np.zeros(n, dtype=np.int32),
+    )
     cols = np.arange(n, dtype=np.int32)
 
     def solve_node(lb, ub):
@@ -290,8 +274,11 @@ def _warm_node_lp(c, a, row_lo, row_hi):
     return solve_node
 
 
-def _cold_node_lp(c, a, row_lo, row_hi):
+def _cold_node_lp(c, model):
     """Node LPs by one cold ``linprog`` call each; the reference path."""
+    shape = (model.num_rows, len(c))
+    a = csr_matrix((model.data, model.indices, model.indptr), shape=shape)
+    row_lo, row_hi = np.array(model.row_lo), np.array(model.row_hi)
     eq = row_lo == row_hi
     ineq = ~eq
     # >= rows are negated into <= rows

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .core import (
     Attack,
@@ -239,9 +239,15 @@ def solve_attack_subproblem_bb(
 ) -> Tuple[int, Attack]:
     """Attack value by depth-first search over vertex fixings.
 
-    Nodes carry a set of vertices fixed attacked and fixed protected; each
-    node's attack is completed greedily, evaluated exactly, and the first
-    greedily chosen vertex is branched on (attacked child first).  As in
+    A node fixes vertices attacked (``a1``) and protected (``a0``).  Its open
+    list, the plan's exchanges that ``a1`` spares and that have a vertex
+    outside ``a0``, heaviest first with ties in plan order, gives both the
+    node's lower bound and its greedy attack ``a1 + [f1..fk]``: the smallest
+    unprotected vertex of each open exchange in turn, then the smallest free
+    vertices.  That attack is solved exactly.  Branching is unrolled: child i
+    fixes ``f1..f(i-1)`` attacked and ``fi`` protected, the last explored
+    first, so the attacked child of a two-way branch on ``f1``, which would
+    complete to the same attack, is never solved again.  As in
     ``solve_attack_subproblem_cuttingplane``, a given ``master_value`` stops
     the search at the first attack below it; ``None`` gives the exact value.
     """
@@ -249,12 +255,10 @@ def solve_attack_subproblem_bb(
     stats = stats or RobustStats()
     stats.n_subproblems += 1
     initial_pairs = initial.initial_pairs(pool, graph)
-    init_exchanges = initial.exchanges(pool)
-    weights = [exchange_weight(e, initial_pairs) for e in init_exchanges]
-    total = sum(weights)
+    plan = [(e, exchange_weight(e, initial_pairs)) for e in initial.exchanges(pool)]
     nv = graph.num_vertices
 
-    best_val = total + 1
+    best_val = sum(w for _, w in plan) + 1
     best_u = Attack.of((), budget)
 
     # stack of (attacked fixings, protected fixings)
@@ -263,26 +267,21 @@ def solve_attack_subproblem_bb(
         clock.remaining()
         a1, a0 = stack.pop()
         stats.bb_nodes += 1
-        # lower bound: surviving initial weight under the worst completion
-        hit = sum(
-            w for e, w in zip(init_exchanges, weights) if any(v in a1 for v in e.vertices)
-        )
-        open_weights = sorted(
-            (
-                w
-                for e, w in zip(init_exchanges, weights)
-                if not any(v in a1 for v in e.vertices)
-                and any(v not in a0 for v in e.vertices)
-            ),
-            reverse=True,
-        )
-        bound = total - hit - sum(open_weights[: budget - len(a1)])
+        slots = budget - len(a1)
+        alive = [(e, w) for e, w in plan if not any(v in a1 for v in e.vertices)]
+        open_ = sorted(
+            ((e, w) for e, w in alive if any(v not in a0 for v in e.vertices)),
+            key=lambda ew: ew[1], reverse=True,  # stable: ties stay in plan order
+        )[:slots]
+        # lower bound: surviving plan weight under the worst completion
+        bound = sum(w for _, w in alive) - sum(w for _, w in open_)
         if bound >= best_val:
             continue
-        attacked, first_added = _greedy_fill(
-            a1, a0, budget, nv, init_exchanges, weights
-        )
-        u = Attack.of(attacked, budget)
+        # the plan's exchanges are disjoint, so each fi hits only its own
+        fill = [min(v for v in e.vertices if v not in a0) for e, _ in open_]
+        fixed = a1 | a0 | set(fill)
+        fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
+        u = Attack.of(a1.union(fill), budget)
         _, out = _recourse(
             initial, u, pool, graph, policy, Encoding.CC, False, clock, stats
         )
@@ -292,45 +291,9 @@ def solve_attack_subproblem_bb(
             best_u = u
             if master_value is not None and best_val < master_value:
                 return best_val, best_u
-        if first_added is None:
-            continue
-        stack.append((a1, a0 | {first_added}))
-        stack.append((a1 | {first_added}, a0))  # explored first
+        for i, f in enumerate(fill):
+            stack.append((a1.union(fill[:i]), a0 | {f}))
     return best_val, best_u
-
-
-def _greedy_fill(
-    a1: Set[int],
-    a0: Set[int],
-    budget: int,
-    nv: int,
-    init_exchanges: Sequence[Exchange],
-    weights: Sequence[int],
-) -> Tuple[Set[int], Optional[int]]:
-    """Complete a partial attack: repeatedly hit the heaviest untouched
-    initial exchange through its smallest unfixed vertex, falling back to the
-    smallest unfixed vertex overall."""
-    attack = set(a1)
-    first_added: Optional[int] = None
-    while len(attack) < budget:
-        cand: Optional[int] = None
-        cand_w = -1
-        for e, w in zip(init_exchanges, weights):
-            if any(v in attack for v in e.vertices):
-                continue
-            free = [v for v in e.vertices if v not in a0]
-            if free and w > cand_w:
-                cand_w = w
-                cand = min(free)
-        if cand is None:
-            rest = [v for v in range(nv) if v not in attack and v not in a0]
-            if not rest:
-                break
-            cand = rest[0]
-        attack.add(cand)
-        if first_added is None:
-            first_added = cand
-    return attack, first_added
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from robustkep.bench import (
     summary_to_table,
     write_records,
 )
-from robustkep import cli
+from robustkep import bench, cli
 from robustkep.cli import main
 
 KEP_TEXT = "3 1 4\n3 0\n0 1\n1 2\n2 1\n"
@@ -362,13 +362,34 @@ class TestCli:
             (["bench", "--input", "{dir}/g.kep", "--policy", "fr,xx"], "'xx'"),
             (["generate", "--pairs", "4", "--density", "2"], "density 2.0"),
             (["aggregate", "--input", "{dir}/g.kep"], "CSV header differs"),
+            (["solve", "--input", "{dir}/g.kep", "--budget", "1.5"],
+             "--budget: expected an integer, got '1.5'"),
+            (["solve", "--input", "{dir}/g.kep", "--cycle-len", "2.0"],
+             "--cycle-len: expected an integer, got '2.0'"),
+            (["bench", "--input", "{dir}/g.kep", "--chain-len", "1,x"],
+             "--chain-len: expected an integer, got 'x'"),
+            (["solve", "--input", "{dir}/g.kep", "--output", "{dir}/nodir/x.txt"],
+             "nodir/x.txt"),
+            (["bench", "--input", "{dir}/g.kep", "--output", "{dir}/nodir/x.csv"],
+             "nodir/x.csv"),
+            (["generate", "--pairs", "4", "--output", "{dir}/nodir/x.kep"], "nodir/x.kep"),
+            (["aggregate", "--input", "{dir}/empty.csv", "--output", "{dir}/nodir/s.csv"],
+             "nodir/s.csv"),
         ],
         ids=["json-float", "missing-file", "budget", "time-limit", "lifting",
-             "bench-policy", "density", "aggregate-non-csv"],
+             "bench-policy", "density", "aggregate-non-csv", "budget-float",
+             "cycle-len-float", "bench-chain-len", "solve-output", "bench-output",
+             "generate-output", "aggregate-output"],
     )
-    def test_input_error_is_one_line(self, tmp_path, capsys, argv, cause):
+    def test_input_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv, cause):
+        def unreachable(graph, cfg):
+            raise AssertionError("bad input must end the command before any solve")
+
+        monkeypatch.setattr(cli, "solve_robust", unreachable)
+        monkeypatch.setattr(bench, "solve_robust", unreachable)
         (tmp_path / "g.kep").write_text(KEP_TEXT)
         (tmp_path / "bad.json").write_text('{"pairs": 2.7, "ndds": 0, "arcs": []}')
+        (tmp_path / "empty.csv").write_text("")
         with pytest.raises(SystemExit) as exc:
             main([a.format(dir=tmp_path) for a in argv])
         assert exc.value.code == 1

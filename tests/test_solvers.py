@@ -38,6 +38,17 @@ def full_chain_solution(pool):
     )
 
 
+def max_coverage_plan(pool):
+    """A maximum-coverage initial solution, like the master would pick."""
+    order = sorted(range(len(pool)), key=lambda i: -len(pool.exchange(i).vertices))
+    used, chosen = set(), []
+    for i in order:
+        if not any(v in used for v in pool.exchange(i).vertices):
+            chosen.append(i)
+            used.update(pool.exchange(i).vertices)
+    return KepSolution.of(chosen)
+
+
 class TestSolveRobust:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("method", ["cut", "bb"])
@@ -217,6 +228,35 @@ class TestSubproblemSolvers:
         )
         assert s == 0
 
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_bb_solves_each_attack_once(self, monkeypatch, policy, budget):
+        scored = []
+        real = solvers._recourse
+
+        def recording(initial, u, *args):
+            scored.append(u)
+            return real(initial, u, *args)
+
+        monkeypatch.setattr(solvers, "_recourse", recording)
+        for seed in range(4):
+            g = generate_instance(10, 2, 0.3, seed=seed)
+            pool = build_pool(g, 3, 3)
+            x = max_coverage_plan(pool)
+            expected, _ = brute_force_attack(x, pool, g, policy, budget)
+            plan_value = len(x.initial_pairs(pool, g))
+            for master_value in (None, plan_value):
+                scored.clear()
+                s, u = solve_attack_subproblem_bb(
+                    x, pool, g, policy, budget, master_value=master_value
+                )
+                assert len(set(scored)) == len(scored), "an attack was solved twice"
+                assert brute_force_recourse(x, u, pool, g, policy) == s
+                if master_value is None or expected == plan_value:
+                    assert s == expected
+                else:
+                    assert expected <= s < master_value
+
     def test_bb_two_cycle_dies(self):
         g = CompatibilityGraph(2, 0, ((0, 1), (1, 0)))
         pool = build_pool(g, 2, 0)
@@ -235,17 +275,7 @@ class TestSubproblemSolvers:
                 rng.randint(3, 6), rng.randint(0, 2), 0.4, seed=rng.randint(0, 9999)
             )
             pool = build_pool(g, 3, 3)
-            # a maximum-coverage initial solution, like the master would pick
-            order = sorted(
-                range(len(pool)),
-                key=lambda i: -len(pool.exchange(i).vertices),
-            )
-            used, chosen = set(), []
-            for i in order:
-                if not any(v in used for v in pool.exchange(i).vertices):
-                    chosen.append(i)
-                    used.update(pool.exchange(i).vertices)
-            x = KepSolution.of(chosen)
+            x = max_coverage_plan(pool)
             expected, _ = brute_force_attack(x, pool, g, policy, 2)
             s_cut, _ = solve_attack_subproblem_cuttingplane(
                 x, pool, g, policy, encoding, 2
