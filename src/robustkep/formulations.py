@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .core import (
     Arc,
@@ -278,11 +278,16 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
 
 
 def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
-    """FSE PICEF: beta_ij for each arc (i,j) of G - u, with rows pinning it to 1
-    exactly when (i,j) lies on an initial chain whose prefix up to j has no
-    attacked vertex."""
+    """FSE PICEF: beta_ij for each arc (i,j) of G - u that some PICEF arc lies
+    on, with rows pinning it to 1 exactly when (i,j) lies on an initial chain
+    whose prefix up to j has no attacked vertex.  Any other arc carries no
+    chain, so its beta would be 0."""
     model, graph, pool = master.model, master.graph, master.pool
-    beta_vars = {arc: model.add_variable(BINARY) for arc in graph.arcs if u.spares(*arc)}
+    beta_vars = {
+        arc: model.add_variable(BINARY)
+        for arc in graph.arcs
+        if u.spares(*arc) and pool.arcs_on(*arc)
+    }
     for (i, j), b in beta_vars.items():
         # an NDD's arcs only sit at position 1, so for it these are the first arcs
         xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
@@ -450,20 +455,6 @@ def extract_attack(sub: SubproblemHandle, outcome: SolveOutcome) -> Attack:
     return Attack.of(
         (j for j, v in sub.u_vars.items() if outcome.value(v) > 0.5), sub.budget
     )
-
-
-def solve_subproblem_at(
-    sub: SubproblemHandle, u: Attack, time_limit: Optional[float] = None
-) -> SolveOutcome:
-    """Solve the subproblem with the attack fixed; used for cut validation."""
-    model = sub.model
-    saved = list(model.lb), list(model.ub)
-    try:
-        for j, v in sub.u_vars.items():
-            model.fix(v, 1.0 if j in u.attacked else 0.0)
-        return model.solve(time_limit)
-    finally:
-        model.lb, model.ub = saved
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ so the dual simplex restarts from the basis the previous node left.  Rows
 are stored once, as they are added, in the compressed-sparse-row form the LP
 takes (column indices, coefficients and row starts, plus a lower and an upper
 bound per row), and can be appended between solves (lazy cuts); ``fix`` sets
-a variable's column bounds to its value.  Solves stay reproducible: the
-LP is built afresh in every solve and never kept, and the node order is
-fixed, so a repeated solve replays the same warm-start sequence.  When
+a variable's column bounds to its value.  A re-solve after the model grew
+(new columns or rows, as a master block or a cut adds them) starts its root
+from the basis the last optimal root ended in, padded with the new columns
+at their lower bound and the new rows basic.  Solves stay reproducible: that
+start basis changes only when the model grows, and the node order is fixed,
+so re-solving an unchanged model replays the same warm-start sequence.  When
 scipy's private HiGHS binding cannot be imported, every node is solved cold
 with ``scipy.optimize.linprog`` instead, which is also the reference.
 """
@@ -90,6 +93,11 @@ class MilpModel:
         self.data: List[float] = []
         self.row_lo: List[float] = []
         self.row_hi: List[float] = []
+        # the basis the last optimal root LP ended in, and the basis the next
+        # root starts from: a copy of the former, taken only when the model
+        # grows, so re-solving an unchanged model replays the same solve
+        self.root_basis = None
+        self.start_basis = None
 
     @property
     def num_variables(self) -> int:
@@ -110,6 +118,7 @@ class MilpModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
+        self.start_basis = self.root_basis
         return len(self.kinds) - 1
 
     def add_row(
@@ -129,6 +138,7 @@ class MilpModel:
         self.indptr.append(len(self.indices))
         self.row_lo.append(-np.inf if relation == LESS_EQUAL else float(rhs))
         self.row_hi.append(np.inf if relation == GREATER_EQUAL else float(rhs))
+        self.start_basis = self.root_basis
         return self.num_rows - 1
 
     def fix(self, var: int, value: float) -> None:
@@ -244,7 +254,9 @@ class MilpModel:
 
 def _warm_node_lp(c, model):
     """Node LPs on one HiGHS instance: each node changes only column bounds,
-    so the dual simplex restarts from the previous node's basis."""
+    so the dual simplex restarts from the previous node's basis.  The root
+    starts from ``model.start_basis`` when there is one, and an optimal root
+    leaves its final basis in ``model.root_basis``."""
     n = len(c)
     zeros = np.zeros(n)  # every node sets its own column bounds
     highs = _highs._Highs()
@@ -254,15 +266,25 @@ def _warm_node_lp(c, model):
         _highs.ObjSense.kMinimize, 0.0, c, zeros, zeros, model.row_lo, model.row_hi,
         model.indptr, model.indices, model.data, np.zeros(n, dtype=np.int32),
     )
+    if model.start_basis is not None:
+        highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
     cols = np.arange(n, dtype=np.int32)
+    root = True
 
     def solve_node(lb, ub):
+        nonlocal root
         highs.changeColsBounds(n, cols, lb, ub)
         highs.run()
         status = highs.getModelStatus()
         info = highs.getInfo()
         iters = info.simplex_iteration_count
-        if status == _highs.HighsModelStatus.kOptimal:
+        optimal = status == _highs.HighsModelStatus.kOptimal
+        if root and optimal:
+            basis = highs.getBasis()
+            if basis.valid:
+                model.root_basis = basis
+        root = False
+        if optimal:
             x = np.array(highs.getSolution().col_value)
             return info.objective_function_value, x, iters
         if status == _highs.HighsModelStatus.kInfeasible:
@@ -272,6 +294,23 @@ def _warm_node_lp(c, model):
         )
 
     return solve_node
+
+
+def _grown_basis(basis, num_cols, num_rows):
+    """``basis`` extended to a grown model: the new columns sit at their lower
+    bound and the new rows are basic.  Its basis matrix is the old one plus
+    the new rows' slacks, so it is nonsingular and HiGHS need not check it."""
+    grown = _highs.HighsBasis()
+    grown.valid = True
+    grown.alien = False
+    status = _highs.HighsBasisStatus
+    grown.col_status = basis.col_status + [status.kLower] * (
+        num_cols - len(basis.col_status)
+    )
+    grown.row_status = basis.row_status + [status.kBasic] * (
+        num_rows - len(basis.row_status)
+    )
+    return grown
 
 
 def _cold_node_lp(c, model):

@@ -96,9 +96,9 @@ class TestSolve:
         assert m.solve().int_objective() == 2
 
 
-def random_model(rng):
+def random_model(rng, max_vars=15):
     """A random 0-1 model, its objective and its rows as (coeffs, relation, rhs)."""
-    n = rng.randint(1, 15)
+    n = rng.randint(1, max_vars)
     sense = rng.choice(["max", "min"])
     m = MilpModel(sense)
     obj = []
@@ -240,3 +240,69 @@ class TestAgainstEnumeration:
                     assert first.lp_iterations == second.lp_iterations
                 support = rng.sample(range(m.num_variables), min(3, m.num_variables))
                 m.add_row([(v, 1.0) for v in support], LESS_EQUAL, 1)
+
+
+def grow_block(m, rng, obj, rows):
+    """Append a block the way a master attack block grows a model: new
+    columns first, then rows that each reach at least one new column."""
+    old = list(range(m.num_variables))
+    new = []
+    for _ in range(rng.randint(1, 3)):
+        obj.append(rng.randint(-5, 5))
+        new.append(m.add_variable(BINARY, obj=obj[-1]))
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(new, rng.randint(1, len(new)))
+        support += rng.sample(old, rng.randint(0, min(2, len(old))))
+        coeffs = [(v, rng.randint(-4, 4)) for v in support]
+        relation = rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL])
+        rows.append((coeffs, relation, rng.randint(-3, 6)))
+        m.add_row(*rows[-1])
+
+
+class TestWarmRoot:
+    """Each re-solve of a grown model starts its root from the basis the
+    previous optimal root ended in (warm path); values never depend on it."""
+
+    def test_grown_models(self, lp_path):
+        rng = random.Random(13)
+        for _ in range(25):
+            m, obj, rows = random_model(rng, max_vars=6)
+            for _ in range(3):
+                expected = enumerate_optimum(m, obj, rows)
+                out = m.solve()
+                assert m.solve() == out  # every field, LP iterations included
+                if expected is None:
+                    assert out.status is SolveStatus.INFEASIBLE
+                else:
+                    assert out.status is SolveStatus.OPTIMAL
+                    assert out.int_objective() == expected
+                grow_block(m, rng, obj, rows)
+
+    def test_infeasible_root_is_not_recorded(self, monkeypatch):
+        if milp._highs is None:
+            pytest.skip("scipy's HiGHS binding is not importable")
+        m, (a, b, c) = knapsack_model()
+        obj, rows = [5, 4, 3], [([(a, 2), (b, 3), (c, 1)], LESS_EQUAL, 4)]
+        m.solve()
+        recorded = m.root_basis
+        assert recorded is not None
+        d = m.add_variable(BINARY, obj=2)
+        obj.append(2)
+        rows.append(([(c, 1), (d, 1)], LESS_EQUAL, 1))
+        m.add_row(*rows[-1])
+        saved = list(m.lb), list(m.ub)
+        m.fix(a, 1)
+        m.fix(b, 1)  # 2a + 3b > 4: the root LP, started warm, is infeasible
+        assert m.solve().status is SolveStatus.INFEASIBLE
+        assert m.root_basis is recorded
+        m.lb, m.ub = saved
+        e = m.add_variable(BINARY, obj=6)  # the next root starts from `recorded`
+        obj.append(6)
+        rows.append(([(a, 1), (e, 1)], LESS_EQUAL, 1))
+        m.add_row(*rows[-1])
+        warm = m.solve()
+        assert warm.status is SolveStatus.OPTIMAL
+        assert warm.int_objective() == enumerate_optimum(m, obj, rows)
+        monkeypatch.setattr(milp, "_highs", None)
+        cold = m.solve()
+        assert cold.objective == warm.objective
