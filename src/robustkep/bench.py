@@ -8,10 +8,19 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from .core import CompatibilityGraph
-from .solvers import RobustConfig, solve_robust
+from .core import CompatibilityGraph, Policy
+from .formulations import Encoding
+from .solvers import METHOD_BB, METHOD_CUT, RobustConfig, solve_robust
 
 DEFAULT_SHIFT = 10.0
+
+# the values a text column may hold
+_CHOICES = {
+    "policy": [p.value for p in Policy],
+    "encoding": [e.value for e in Encoding],
+    "method": [METHOD_CUT, METHOD_BB],
+    "status": ["optimal", "timelimit"],
+}
 
 
 @dataclass
@@ -43,43 +52,58 @@ class BenchRecord:
         return self.n_pairs + self.n_ndds
 
     def __post_init__(self):
-        if self.status not in ("optimal", "timelimit"):
-            raise ValueError(f"unknown status {self.status!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"column {name}: expected {'|'.join(allowed)}, got {getattr(self, name)!r}"
+                )
         if (self.objective is not None) != (self.status == "optimal"):
             raise ValueError("objective must be present exactly when optimal")
-        if min(self.time_total_s, self.time_stage2_s, self.time_stage3_s) < 0:
-            raise ValueError("negative time")
+        for name in ("time_total_s", "time_stage2_s", "time_stage3_s"):
+            t = getattr(self, name)
+            if not (math.isfinite(t) and t >= 0):  # NaN fails too
+                raise ValueError(f"column {name}: expected a finite time >= 0, got {t!r}")
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRecord)]
 
 
+def _text(val: object, digits: int, none: str = "") -> str:
+    """One CSV or table cell: booleans as on|off, floats to ``digits``."""
+    if val is None:
+        return none
+    if isinstance(val, bool):
+        return "on" if val else "off"
+    if isinstance(val, float):
+        return f"{val:.{digits}f}"
+    return str(val)
+
+
 def record_to_row(rec: BenchRecord) -> List[str]:
-    row = []
-    for name in CSV_FIELDS:
-        val = getattr(rec, name)
-        if val is None:
-            row.append("")
-        elif isinstance(val, bool):
-            row.append("on" if val else "off")
-        elif isinstance(val, float):
-            row.append(f"{val:.6f}")
-        else:
-            row.append(str(val))
-    return row
+    return [_text(getattr(rec, name), 6) for name in CSV_FIELDS]
+
+
+def _on_off(raw: str) -> bool:
+    if raw not in ("on", "off"):
+        raise ValueError(f"expected on|off, got {raw!r}")
+    return raw == "on"
 
 
 # how a CSV cell is read back, by its field's declared type
-_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda raw: raw == "on",
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _on_off,
             "Optional[int]": lambda raw: None if raw == "" else int(raw)}
 
 
 def record_from_row(row: Sequence[str]) -> BenchRecord:
     if len(row) != len(CSV_FIELDS):
         raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-    return BenchRecord(
-        **{f.name: _PARSERS[f.type](raw) for f, raw in zip(fields(BenchRecord), row)}
-    )
+    values = {}
+    for f, raw in zip(fields(BenchRecord), row):
+        try:
+            values[f.name] = _PARSERS[f.type](raw)
+        except ValueError as exc:
+            raise ValueError(f"column {f.name}: {exc}") from None
+    return BenchRecord(**values)
 
 
 def write_records(records: Iterable[BenchRecord], stream: TextIO) -> None:
@@ -148,10 +172,14 @@ def run_matrix(
     return records
 
 
+def _check_shift(shift: float) -> None:
+    if not (math.isfinite(shift) and shift >= 0):  # NaN fails too
+        raise ValueError(f"shift must be a finite number >= 0, got {shift!r}")
+
+
 def shifted_geometric_mean(values: Sequence[float], shift: float = DEFAULT_SHIFT) -> float:
     """prod(v + shift)^(1/n) - shift."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
+    _check_shift(shift)
     if not values:
         raise ValueError("empty value list")
     log_sum = 0.0
@@ -188,6 +216,7 @@ def aggregate(
 ) -> List[Dict[str, object]]:
     """Per-group summary: count solved, shifted geometric mean of total times,
     arithmetic means of attack/subproblem/node counts over solved cells."""
+    _check_shift(shift)  # also when no group has a solved cell
     groups: Dict[Tuple, List[BenchRecord]] = {}
     for rec in records:
         key = tuple(getattr(rec, name) for name in GROUP_KEYS)
@@ -196,9 +225,8 @@ def aggregate(
     for key in sorted(groups, key=lambda k: tuple(str(t) for t in k)):
         cells = groups[key]
         solved = [r for r in cells if r.status == "optimal"]
-        row: Dict[str, object] = dict(zip(GROUP_KEYS, key))
-        row["n_instances"] = len(cells)
-        row["n_optimal"] = len(solved)
+        row: Dict[str, object] = dict.fromkeys(SUMMARY_FIELDS)  # None without a solved cell
+        row.update(zip(GROUP_KEYS, key), n_instances=len(cells), n_optimal=len(solved))
         if solved:
             row["sgm_time_s"] = shifted_geometric_mean(
                 [r.time_total_s for r in solved], shift
@@ -206,21 +234,8 @@ def aggregate(
             row["mean_attacks"] = sum(r.n_attacks for r in solved) / len(solved)
             row["mean_subproblems"] = sum(r.n_subproblems for r in solved) / len(solved)
             row["mean_bb_nodes"] = sum(r.bb_nodes for r in solved) / len(solved)
-        else:
-            for name in ("sgm_time_s", "mean_attacks", "mean_subproblems", "mean_bb_nodes"):
-                row[name] = None
         rows.append(row)
     return rows
-
-
-def _fmt(val: object) -> str:
-    if val is None:
-        return "—"
-    if isinstance(val, bool):
-        return "on" if val else "off"
-    if isinstance(val, float):
-        return f"{val:.2f}"
-    return str(val)
 
 
 def summary_to_csv(rows: Sequence[Dict[str, object]]) -> str:
@@ -228,7 +243,7 @@ def summary_to_csv(rows: Sequence[Dict[str, object]]) -> str:
     writer = csv.writer(buf)
     writer.writerow(SUMMARY_FIELDS)
     for row in rows:
-        writer.writerow(["" if row[f] is None else _fmt(row[f]) for f in SUMMARY_FIELDS])
+        writer.writerow([_text(row[f], 2) for f in SUMMARY_FIELDS])
     return buf.getvalue()
 
 
@@ -237,7 +252,7 @@ def summary_to_table(rows: Sequence[Dict[str, object]]) -> str:
     headers = ["|V|", "K", "L", "B", "policy", "enc", "method", "lift",
                "n", "opt", "sgm time", "#att", "#sub", "#nodes"]
     body = [
-        [_fmt(row[f]) for f in SUMMARY_FIELDS]
+        [_text(row[f], 2, "—") for f in SUMMARY_FIELDS]
         for row in rows
     ]
     widths = [

@@ -148,9 +148,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     with _input_errors("aggregate"):
         with open(args.input, encoding="utf-8", newline="") as fh:
             records = read_records(fh)
+        rows = aggregate(records, args.shift)
         out = _open_output(args.output)
     with out as fh:
-        rows = aggregate(records, args.shift)
         fh.write(summary_to_csv(rows))
     if args.output and args.output != "-":
         sys.stdout.write(summary_to_table(rows))

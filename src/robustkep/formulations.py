@@ -9,7 +9,8 @@ lifted), for both the cycle-chain (CC) and position-indexed chain-edge
 Master attack blocks and plain recourse models are built on G - u, the graph
 an attack u leaves: variables only for the exchanges and arcs u does not hit.
 The lifted recourse keeps full-graph y and eta, which the lifted cut credits,
-and builds only psi on G - u.
+and builds only psi on G - u.  The FSE recourse is the FR recourse on the
+vertices the enforced structures leave free, plus those structures.
 
 Every builder reads the exchange pool's index (the exchanges through each
 vertex, and the PICEF arcs by head, tail and graph arc) and the graph's
@@ -469,6 +470,8 @@ class RecourseHandle:
     lifted: bool
     u: Attack
     initial_pairs: Set[int]
+    # FSE: the plan structures u leaves intact; kept outside the model
+    enforced: List[Exchange]
     y_vars: Dict[int, int]
     # the PICEF arc variables: psi on G - u (plain), or eta for the full-graph
     # chains (lifted), whose unattacked part is psi per graph arc of G - u
@@ -489,7 +492,9 @@ def build_recourse(
 
     The plain variant is the KEP on G - u.  The lifted variant optimizes over
     full-graph solutions (y and eta) whose surviving part, psi on G - u, is an
-    optimal recourse solution, yielding stronger cuts.
+    optimal recourse solution, yielding stronger cuts.  Under FSE both are the
+    FR model on the vertices the enforced structures leave free, and
+    ``extract_cut_solution`` adds those structures back.
     """
     initial_pairs = initial.initial_pairs(pool, graph)
     enforced = (
@@ -497,28 +502,27 @@ def build_recourse(
         if policy is Policy.FIX_SUCCESSFUL
         else []
     )
+    taken = {v for e in enforced for v in e.vertices}
     model = MilpModel("max", integral_objective=True)
     nv = graph.num_vertices
     picef = encoding is Encoding.PICEF
     y_vars: Dict[int, int] = {}
     for e in pool.cycles if picef else pool.exchanges:
-        w = exchange_weight(e, initial_pairs)
-        if not u.hits(e):
+        if taken.isdisjoint(e.vertices) and (lifted or not u.hits(e)):
+            w = 0 if u.hits(e) else exchange_weight(e, initial_pairs)
             y_vars[e.index] = model.add_variable(BINARY, obj=float(w * nv + 1 if lifted else w))
-        elif lifted:
-            y_vars[e.index] = model.add_variable(BINARY, obj=1.0)
-    rec = RecourseHandle(model, pool, lifted, u, initial_pairs, y_vars)
+    rec = RecourseHandle(model, pool, lifted, u, initial_pairs, enforced, y_vars)
 
     arcs = rec.picef_vars
     for a in pool.picef_arcs if picef else ():
-        if lifted or u.spares(a.src, a.dst):
+        if taken.isdisjoint((a.src, a.dst)) and (lifted or u.spares(a.src, a.dst)):
             w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
             arcs[a] = model.add_variable(BINARY, obj=w)
     _packing_rows(model, pool, graph, y_vars, arcs)
     psi_arc = rec.psi_arc_vars
     if picef and lifted:
         for (i, j) in graph.arcs:
-            if pool.arcs_on(i, j) and u.spares(i, j):
+            if pool.arcs_on(i, j) and u.spares(i, j) and taken.isdisjoint((i, j)):
                 w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
                 psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
         # psi_ij needs eta on (i, j), so eta's packing rows cover psi too, and
@@ -526,35 +530,17 @@ def build_recourse(
         for (i, j), pv in psi_arc.items():
             _at_most(model, [pv], [arcs[a] for a in pool.arcs_on(i, j)])
         _chain_flow_rows(model, graph, psi_arc)
-
-    # FSE: lock in the enforced structures and forbid extending their chains
-    for e in enforced:
-        if not picef or e.kind is ExchangeKind.CYCLE:
-            model.fix(y_vars[e.index], 1.0)
-            continue
-        last = e.vertices[-1]
-        if lifted:
-            for arc in e.arcs:
-                model.fix(psi_arc[arc], 1.0)
-        else:
-            for pos, (i, j) in enumerate(e.arcs, start=1):
-                model.fix(arcs[PicefArc(i, j, pos)], 1.0)
-        # lifted, this fixes eta, and so psi, as psi needs eta: the cut solution
-        # must hold the enforced chain itself, not an extension of it, or its
-        # cut credits nothing for it
-        for a in pool.arcs_out_of(last):
-            if a in arcs:
-                model.fix(arcs[a], 0.0)
     return rec
 
 
 def extract_cut_solution(
     rec: RecourseHandle, outcome: SolveOutcome
 ) -> Tuple[KepSolution, int]:
-    """Full solution for the next interdiction cut and its true recourse value
-    (the weight of its non-attacked part)."""
+    """Full solution for the next interdiction cut, with the FSE enforced
+    structures, and its true recourse value (the weight of its non-attacked
+    part)."""
     pool, u = rec.pool, rec.u
-    selected = _chosen(outcome, rec.y_vars)
+    selected = _chosen(outcome, rec.y_vars) + [e.index for e in rec.enforced]
     value = sum(
         exchange_weight(pool.exchange(i), rec.initial_pairs)
         for i in selected

@@ -28,7 +28,6 @@ from .core import (
 )
 from .formulations import (
     Encoding,
-    RecourseHandle,
     add_interdiction_cut,
     build_master,
     build_recourse,
@@ -38,7 +37,7 @@ from .formulations import (
     extract_cut_solution,
     extract_initial_solution,
 )
-from .milp import SolveOutcome, SolveStatus
+from .milp import SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
@@ -122,14 +121,15 @@ def _check(outcome) -> None:
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, graph: CompatibilityGraph,
     policy: Policy, encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
-) -> Tuple[RecourseHandle, SolveOutcome]:
-    """Build and solve the recourse model under u, on the stage-3 clock."""
+) -> Tuple[KepSolution, int, int]:
+    """Build and solve the recourse model under u, on the stage-3 clock: the
+    cut solution, the recourse value and the nodes the solve explored."""
     t0 = time.perf_counter()
     rec = build_recourse(initial, u, pool, graph, policy, encoding, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
     _check(outcome)
-    return rec, outcome
+    return (*extract_cut_solution(rec, outcome), outcome.nodes_explored)
 
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
@@ -209,11 +209,10 @@ def solve_attack_subproblem_cuttingplane(
         stats.bb_nodes += outcome.nodes_explored
         z_sub = outcome.int_objective()
         u = extract_attack(sub, outcome)
-        rec, rec_out = _recourse(
+        cut_sol, r, nodes = _recourse(
             initial, u, pool, graph, policy, encoding, lifting, clock, stats
         )
-        stats.bb_nodes += rec_out.nodes_explored
-        cut_sol, r = extract_cut_solution(rec, rec_out)
+        stats.bb_nodes += nodes
         if r <= z_sub or (master_value is not None and r < master_value):
             return r, u
         if cut_sol in added:
@@ -282,10 +281,9 @@ def solve_attack_subproblem_bb(
         fixed = a1 | a0 | set(fill)
         fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
         u = Attack.of(a1.union(fill), budget)
-        _, out = _recourse(
+        _, val, _ = _recourse(
             initial, u, pool, graph, policy, Encoding.CC, False, clock, stats
         )
-        val = out.int_objective()
         if val < best_val:
             best_val = val
             best_u = u

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from robustkep import (
     solve_robust,
 )
 from robustkep.bench import (
+    CSV_FIELDS,
     BenchRecord,
     aggregate,
     read_records,
@@ -173,6 +175,18 @@ class TestBenchRecord:
         with pytest.raises(ValueError, match="CSV header differs.*unexpected \\['inst"):
             read_records(io.StringIO(data_only + "\n"))
 
+    @pytest.mark.parametrize(
+        "column, raw",
+        [("lifting", "maybe"), ("lifting", "true"), ("time_total_s", "nan"),
+         ("time_stage2_s", "inf"), ("time_stage3_s", "-0.5"), ("policy", "xyz"),
+         ("encoding", "CC"), ("method", "oracle"), ("budget", "1.5")],
+    )
+    def test_malformed_cell_rejected(self, column, raw):
+        row = record_to_row(make_record())
+        row[CSV_FIELDS.index(column)] = raw
+        with pytest.raises(ValueError, match=f"^column {column}: .*{re.escape(raw)}"):
+            record_from_row(row)
+
 
 class TestRunMatrix:
     def test_encodings_agree(self):
@@ -225,6 +239,11 @@ class TestShiftedGeometricMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             shifted_geometric_mean([], 10)
+
+    @pytest.mark.parametrize("shift", [-1.0, float("nan"), float("inf")])
+    def test_bad_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift must be a finite number"):
+            shifted_geometric_mean([1.0], shift)
 
 
 class TestAggregate:
@@ -375,11 +394,18 @@ class TestCli:
             (["generate", "--pairs", "4", "--output", "{dir}/nodir/x.kep"], "nodir/x.kep"),
             (["aggregate", "--input", "{dir}/empty.csv", "--output", "{dir}/nodir/s.csv"],
              "nodir/s.csv"),
+            (["aggregate", "--input", "{dir}/bad-cell.csv"],
+             "column lifting: expected on|off, got 'maybe'"),
+            (["aggregate", "--input", "{dir}/empty.csv", "--shift", "-1",
+              "--output", "{dir}/s.csv"], "shift must be a finite number >= 0, got -1.0"),
+            (["aggregate", "--input", "{dir}/empty.csv", "--shift", "nan",
+              "--output", "{dir}/s.csv"], "got nan"),
         ],
         ids=["json-float", "missing-file", "budget", "time-limit", "lifting",
              "bench-policy", "density", "aggregate-non-csv", "budget-float",
              "cycle-len-float", "bench-chain-len", "solve-output", "bench-output",
-             "generate-output", "aggregate-output"],
+             "generate-output", "aggregate-output", "aggregate-cell",
+             "shift-negative", "shift-nan"],
     )
     def test_input_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv, cause):
         def unreachable(graph, cfg):
@@ -390,9 +416,15 @@ class TestCli:
         (tmp_path / "g.kep").write_text(KEP_TEXT)
         (tmp_path / "bad.json").write_text('{"pairs": 2.7, "ndds": 0, "arcs": []}')
         (tmp_path / "empty.csv").write_text("")
+        row = record_to_row(make_record())
+        row[CSV_FIELDS.index("lifting")] = "maybe"
+        (tmp_path / "bad-cell.csv").write_text(",".join(CSV_FIELDS) + "\n" + ",".join(row) + "\n")
+        inputs = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
             main([a.format(dir=tmp_path) for a in argv])
         assert exc.value.code == 1
+        # the error comes before any output file is opened
+        assert sorted(tmp_path.iterdir()) == inputs
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()

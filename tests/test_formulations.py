@@ -24,7 +24,7 @@ from robustkep.formulations import (
     extract_cut_solution,
     extract_initial_solution,
 )
-from robustkep.core import PicefArc
+from robustkep.core import PicefArc, enforced_under_attack
 from robustkep.solvers import brute_force_recourse
 
 CHAIN_GRAPH = CompatibilityGraph(3, 1, ((3, 0), (0, 1), (1, 2), (2, 1)))
@@ -243,6 +243,8 @@ class TestRecourse:
             sol, value = extract_cut_solution(rec, out)
             assert sol.is_feasible(pool)
             assert value == brute_force_recourse(x, u, pool, graph, policy)
+            kept = enforced_under_attack(x, u, pool) if policy is Policy.FIX_SUCCESSFUL else []
+            assert {e.index for e in kept} <= sol.selected
             # the cut from this solution is tight at u, so a cut round that
             # finds r > z_sub always raises z_sub at u
             sub = build_subproblem(x, pool, graph, policy, encoding, 2)
@@ -287,11 +289,29 @@ class TestRecourse:
             # the prefix (3,0,1) is locked in and cannot be extended
             assert value == 2
 
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_no_pinned_columns(self, policy, encoding, lifted):
+        """The policy reaches the recourse model only through the vertices it
+        leaves free: no column has its bounds pinned to one value."""
+        rng = random.Random(f"pinned/{policy.value}/{encoding.value}/{lifted}")
+        for trial in range(10):
+            graph = generate_instance(
+                rng.randint(4, 8), rng.randint(1, 2), 0.4, seed=rng.randint(0, 9999)
+            )
+            pool = build_pool(graph, 3, 3)
+            x = random_solution(pool, rng)
+            u = random_attack(graph, 2, rng)
+            model = build_recourse(x, u, pool, graph, policy, encoding, lifted).model
+            assert all(lo < hi for lo, hi in zip(model.lb, model.ub))
+
 
 class TestBuiltOnGMinusU:
     """Attack blocks and plain recourse models hold variables only for what
     an attack u leaves of the graph (G - u); the lifted recourse keeps its
-    full-graph y and eta and builds only psi on G - u."""
+    full-graph y and eta and builds only psi on G - u.  Under FSE neither
+    recourse model touches a vertex of an enforced structure."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -310,20 +330,29 @@ class TestBuiltOnGMinusU:
             def spared(i, j):
                 return i not in u.attacked and j not in u.attacked
 
+            taken = set()
+            for e in enforced_under_attack(x, u, pool) if fse else ():
+                taken.update(e.vertices)
+
+            def free(*vertices):
+                return taken.isdisjoint(vertices)
+
             structures = {e.index for e in (pool.cycles if picef else pool.exchanges)}
             kept = {i for i in structures if not u.hits(pool.exchange(i))}
             all_arcs = set(pool.picef_arcs) if picef else set()
             arcs = {a for a in all_arcs if spared(a.src, a.dst)}
             graph_arcs = {(i, j) for (i, j) in graph.arcs if spared(i, j)}
+            psi = {arc for arc in graph_arcs if pool.arcs_on(*arc)} if picef else set()
 
             plain = build_recourse(x, u, pool, graph, policy, encoding)
-            assert set(plain.y_vars) == kept
-            assert set(plain.picef_vars) == arcs
+            assert set(plain.y_vars) == {i for i in kept if free(*pool.exchange(i).vertices)}
+            assert set(plain.picef_vars) == {a for a in arcs if free(a.src, a.dst)}
             lifted = build_recourse(x, u, pool, graph, policy, encoding, lifted=True)
-            assert set(lifted.y_vars) == structures
-            assert set(lifted.picef_vars) == all_arcs
-            psi = {arc for arc in graph_arcs if pool.arcs_on(*arc)} if picef else set()
-            assert set(lifted.psi_arc_vars) == psi
+            assert set(lifted.y_vars) == {
+                i for i in structures if free(*pool.exchange(i).vertices)
+            }
+            assert set(lifted.picef_vars) == {a for a in all_arcs if free(a.src, a.dst)}
+            assert set(lifted.psi_arc_vars) == {arc for arc in psi if free(*arc)}
 
             master = build_master(pool, graph, policy, encoding, [Attack.of((), 2)])
             before = master.model.num_variables
