@@ -39,7 +39,7 @@ fallback = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))])
 for policy in (Policy.FULL_RECOURSE, Policy.FIX_SUCCESSFUL):
     print(f"policy: {policy.value}")
     for encoding in (Encoding.CC, Encoding.PICEF):
-        sub = build_subproblem(planned, pool, graph, policy, encoding, budget=1)
+        sub = build_subproblem(planned, pool, policy, encoding, budget=1)
         add_interdiction_cut(sub, planned)
         add_interdiction_cut(sub, fallback)
         outcome = sub.model.solve()

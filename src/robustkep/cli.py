@@ -99,11 +99,11 @@ def _configs(args: argparse.Namespace) -> List[RobustConfig]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    listed = [name for name in CONFIG_FLAGS if "," in getattr(args, name)]
-    if listed:
-        flags = ", ".join("--" + name.replace("_", "-") for name in listed)
-        raise SystemExit(f"{flags}: solve takes one value per flag, bench takes lists")
     with _input_errors("solve"):
+        listed = [name for name in CONFIG_FLAGS if "," in getattr(args, name)]
+        if listed:
+            flags = ", ".join("--" + name.replace("_", "-") for name in listed)
+            raise ValueError(f"{flags}: solve takes one value per flag, bench takes lists")
         graph = parse_instance(_read_text(args.input))
         (cfg,) = _configs(args)
         out = _open_output(args.output)

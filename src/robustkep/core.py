@@ -9,9 +9,11 @@ counts the initially covered pairs it serves).
 ``Attack.spares`` is the one test of whether vertices (an arc's ends, an
 exchange's vertices) lie in G - u, the graph an attack u leaves.
 
-``ExchangePool`` is the one index every model builder reads: the exchanges
-through each vertex, and the PICEF arcs derived from the pool's own chains on
-first use, looked up by head, by tail (and position) and by graph arc.
+``ExchangePool`` is the one index of an instance that every model builder
+reads: the graph it was enumerated from, the exchanges through each vertex,
+and the PICEF arcs derived from the pool's own chains on first use, looked up
+by head or tail (and position) and by graph arc, with the graph arcs they lie
+on.
 
 The fix-successful-exchanges (FSE) policy rests on one rule, written once in
 ``_kept``: an attack keeps a planned cycle only if the cycle is untouched, and
@@ -229,19 +231,21 @@ def picef_positions(graph: CompatibilityGraph, L: int) -> List[PicefArc]:
 
 @dataclass
 class ExchangePool:
-    """Index over all enumerated exchanges: ``exchanges`` lists the cycles
-    first, then the chains, each at its pool index; ``cycles`` and ``chains``
-    are its two slices.
+    """Index over all exchanges enumerated from ``graph``: ``exchanges`` lists
+    the cycles first, then the chains, each at its pool index; ``cycles`` and
+    ``chains`` are its two slices.
 
     ``per_vertex[j]`` lists the indices of exchanges whose vertex set
     contains j, cycles before chains.  ``picef_arcs`` holds every (arc,
     position) on the pool's chains, ordered by (pos, src, dst): for a pool of
     all chains with up to L arcs, ``picef_positions(graph, L)``.  The
-    ``arcs_*`` methods look them up by head, tail (and position) and arc.
+    ``arcs_*`` methods look them up by head or tail (and position) and arc;
+    ``chain_arcs`` lists the graph arcs they lie on, in ``graph.arcs`` order.
     The PICEF arcs and their lookup are built on first use, so a CC solve
     never builds them.
     """
 
+    graph: CompatibilityGraph
     cycles: List[Exchange]
     chains: List[Exchange]
     exchanges: List[Exchange] = field(init=False)
@@ -271,14 +275,21 @@ class ExchangePool:
 
     @cached_property
     def _arc_maps(self) -> Tuple[dict, dict, dict]:
-        """The PICEF arcs by head, by (tail, position or None) and by arc."""
+        """The PICEF arcs by (head or tail, position or None) and by arc."""
         into, out, on = {}, {}, {}
         for a in self.picef_arcs:
-            into.setdefault(a.dst, []).append(a)
+            into.setdefault((a.dst, None), []).append(a)
+            into.setdefault((a.dst, a.pos), []).append(a)
             out.setdefault((a.src, None), []).append(a)
             out.setdefault((a.src, a.pos), []).append(a)
             on.setdefault((a.src, a.dst), []).append(a)
         return into, out, on
+
+    @cached_property
+    def chain_arcs(self) -> List[Arc]:
+        """The graph arcs some PICEF arc lies on, in ``graph.arcs`` order."""
+        on = self._arc_maps[2]
+        return [arc for arc in self.graph.arcs if arc in on]
 
     def __len__(self) -> int:
         return len(self.exchanges)
@@ -296,8 +307,9 @@ class ExchangePool:
     def involving(self, v: int) -> List[int]:
         return self.per_vertex.get(v, [])
 
-    def arcs_into(self, j: int) -> List[PicefArc]:
-        return self._arc_maps[0].get(j, [])
+    def arcs_into(self, j: int, pos: Optional[int] = None) -> List[PicefArc]:
+        """PICEF arcs entering j, only those at position ``pos`` if given."""
+        return self._arc_maps[0].get((j, pos), [])
 
     def arcs_out_of(self, i: int, pos: Optional[int] = None) -> List[PicefArc]:
         """PICEF arcs leaving i, only those at position ``pos`` if given."""
@@ -309,7 +321,7 @@ class ExchangePool:
 
 
 def build_pool(graph: CompatibilityGraph, K: int, L: int) -> ExchangePool:
-    return ExchangePool(enumerate_cycles(graph, K), enumerate_chains(graph, L))
+    return ExchangePool(graph, enumerate_cycles(graph, K), enumerate_chains(graph, L))
 
 
 @dataclass(frozen=True)
@@ -335,9 +347,9 @@ class KepSolution:
             vs.update(e.vertices)
         return vs
 
-    def initial_pairs(self, pool: ExchangePool, graph: CompatibilityGraph) -> Set[int]:
+    def initial_pairs(self, pool: ExchangePool) -> Set[int]:
         """Pairs covered by this solution (the recipients it serves)."""
-        return {v for v in self.vertices(pool) if graph.is_pair(v)}
+        return {v for v in self.vertices(pool) if pool.graph.is_pair(v)}
 
     def is_feasible(self, pool: ExchangePool) -> bool:
         seen: Set[int] = set()

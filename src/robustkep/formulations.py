@@ -12,10 +12,12 @@ The lifted recourse keeps full-graph y and eta, which the lifted cut credits,
 and builds only psi on G - u.  The FSE recourse is the FR recourse on the
 vertices the enforced structures leave free, plus those structures.
 
-Every builder reads the exchange pool's index (the exchanges through each
-vertex, and the PICEF arcs by head, tail and graph arc) and the graph's
-adjacency lists, and shares a few row helpers: the cover of a vertex in
-either encoding, precedence (at-most) rows, and the attacker's survival rows.
+Every builder reads the instance through its exchange pool alone: the
+exchanges through each vertex, the PICEF arcs by head or tail (and position)
+and by graph arc, the graph arcs they lie on, and the adjacency lists of the
+graph the pool was enumerated from.  The builders share a few row helpers:
+the cover of a vertex in either encoding, precedence (at-most) rows, and the
+attacker's survival rows.
 """
 
 from __future__ import annotations
@@ -129,17 +131,14 @@ def _at_most(model: MilpModel, lhs: List[int], rhs: List[int]) -> None:
 
 
 def _position_rows(
-    model: MilpModel,
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-    arcs: Dict[PicefArc, int],
+    model: MilpModel, pool: ExchangePool, arcs: Dict[PicefArc, int]
 ) -> None:
     """PICEF precedence: pair j uses an arc at position l+1 only after an
     arc into j at position l."""
-    for j in graph.pairs:
+    for j in pool.graph.pairs:
         for pos in sorted({a.pos for a in pool.arcs_out_of(j)}):
             out = [arcs[a] for a in pool.arcs_out_of(j, pos) if a in arcs]
-            inc = [arcs[a] for a in pool.arcs_into(j) if a.pos == pos - 1 and a in arcs]
+            inc = [arcs[a] for a in pool.arcs_into(j, pos - 1) if a in arcs]
             _at_most(model, out, inc)
 
 
@@ -153,20 +152,16 @@ def _chain_flow_rows(
 
 
 def _packing_rows(
-    model: MilpModel,
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-    x: Dict[int, int],
-    arcs: Dict[PicefArc, int],
+    model: MilpModel, pool: ExchangePool, x: Dict[int, int], arcs: Dict[PicefArc, int]
 ) -> None:
     """One solution encoding: each vertex used at most once and, in PICEF,
     its precedence rows."""
-    for j in range(graph.num_vertices):
+    for j in range(pool.graph.num_vertices):
         cover = _cover(pool, j, x, arcs)
         if cover:
             model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, 1.0)
     if arcs:
-        _position_rows(model, pool, graph, arcs)
+        _position_rows(model, pool, arcs)
 
 
 def _survival_rows(
@@ -194,7 +189,6 @@ def _survival_rows(
 @dataclass
 class MasterHandle:
     model: MilpModel
-    graph: CompatibilityGraph
     pool: ExchangePool
     policy: Policy
     encoding: Encoding
@@ -208,11 +202,7 @@ class MasterHandle:
 
 
 def build_master(
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-    policy: Policy,
-    encoding: Encoding,
-    attacks: Sequence[Attack],
+    pool: ExchangePool, policy: Policy, encoding: Encoding, attacks: Sequence[Attack]
 ) -> MasterHandle:
     """Restricted master z_Pi(U-bar) over the given attack set.
 
@@ -222,14 +212,14 @@ def build_master(
     if not attacks:
         raise ValueError("master needs at least one attack (seed with the zero attack)")
     model = MilpModel("max", integral_objective=True)
-    z_var = model.add_variable(CONTINUOUS, 0.0, graph.num_pairs, obj=1.0)
+    z_var = model.add_variable(CONTINUOUS, 0.0, pool.graph.num_pairs, obj=1.0)
     picef = encoding is Encoding.PICEF
     structures = pool.cycles if picef else pool.exchanges
     x_vars = {e.index: model.add_variable(BINARY) for e in structures}
     xi_vars = {a: model.add_variable(BINARY) for a in pool.picef_arcs} if picef else {}
-    _packing_rows(model, pool, graph, x_vars, xi_vars)
+    _packing_rows(model, pool, x_vars, xi_vars)
 
-    master = MasterHandle(model, graph, pool, policy, encoding, z_var, x_vars, xi_vars)
+    master = MasterHandle(model, pool, policy, encoding, z_var, x_vars, xi_vars)
     for u in attacks:
         extend_master_with_attack(master, u)
     return master
@@ -248,7 +238,7 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
     """Recourse solution under u, on G - u: y (and psi in PICEF) for the
     structures and arcs u leaves intact; z_j <= 1 when unattacked pair j is
     covered by both it and the initial solution, and Z <= sum of z."""
-    model, pool, graph = master.model, master.pool, master.graph
+    model, pool, graph = master.model, master.pool, master.pool.graph
     fse = master.policy is Policy.FIX_SUCCESSFUL
     picef = master.encoding is Encoding.PICEF
     # FSE: the plan's own structures (x) that u leaves holding each vertex
@@ -275,7 +265,7 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
         if cover:
             model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, 1.0)
     if picef:
-        _position_rows(model, pool, graph, psi_vars)
+        _position_rows(model, pool, psi_vars)
 
 
 def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
@@ -283,12 +273,8 @@ def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
     on, with rows pinning it to 1 exactly when (i,j) lies on an initial chain
     whose prefix up to j has no attacked vertex.  Any other arc carries no
     chain, so its beta would be 0."""
-    model, graph, pool = master.model, master.graph, master.pool
-    beta_vars = {
-        arc: model.add_variable(BINARY)
-        for arc in graph.arcs
-        if u.spares(*arc) and pool.arcs_on(*arc)
-    }
+    model, pool, graph = master.model, master.pool, master.pool.graph
+    beta_vars = {arc: model.add_variable(BINARY) for arc in pool.chain_arcs if u.spares(*arc)}
     for (i, j), b in beta_vars.items():
         # an NDD's arcs only sit at position 1, so for it these are the first arcs
         xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
@@ -333,7 +319,6 @@ def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> Kep
 @dataclass
 class SubproblemHandle:
     model: MilpModel
-    graph: CompatibilityGraph
     pool: ExchangePool
     policy: Policy
     encoding: Encoding
@@ -349,25 +334,20 @@ class SubproblemHandle:
 
 
 def build_subproblem(
-    initial: KepSolution,
-    pool: ExchangePool,
-    graph: CompatibilityGraph,
-    policy: Policy,
-    encoding: Encoding,
-    budget: int,
+    initial: KepSolution, pool: ExchangePool, policy: Policy, encoding: Encoding, budget: int
 ) -> SubproblemHandle:
     """min-Z attacker model; interdiction cuts are added afterwards."""
     model = MilpModel("min", integral_objective=True)
-    z_var = model.add_variable(CONTINUOUS, 0.0, graph.num_pairs, obj=1.0)
-    u_vars = {j: model.add_variable(BINARY) for j in range(graph.num_vertices)}
+    z_var = model.add_variable(CONTINUOUS, 0.0, pool.graph.num_pairs, obj=1.0)
+    u_vars = {j: model.add_variable(BINARY) for j in range(pool.graph.num_vertices)}
     model.add_row([(v, 1.0) for v in u_vars.values()], LESS_EQUAL, float(budget))
 
     fse = policy is Policy.FIX_SUCCESSFUL
     picef = encoding is Encoding.PICEF
     enf_idx = {e.index for e in enforceable_set(initial, pool)} if fse else set()
     sub = SubproblemHandle(
-        model, graph, pool, policy, encoding, budget,
-        initial.initial_pairs(pool, graph), z_var, u_vars, {}, enf_idx,
+        model, pool, policy, encoding, budget,
+        initial.initial_pairs(pool), z_var, u_vars, {}, enf_idx,
     )
 
     structures = pool.cycles if picef else pool.exchanges
@@ -375,7 +355,7 @@ def build_subproblem(
         sub.z_vars[e.index] = model.add_variable(CONTINUOUS, 0.0, 1.0)
     if fse and picef:
         initial_vertices = initial.vertices(pool)
-        for j in range(graph.num_vertices):
+        for j in range(pool.graph.num_vertices):
             cap = 1.0 if j in initial_vertices else 0.0
             sub.t_vars[j] = model.add_variable(CONTINUOUS, 0.0, cap)
     for e in structures:
@@ -425,7 +405,7 @@ def _materialize_chain(sub: SubproblemHandle, d: Exchange) -> Dict[Arc, int]:
         _survival_rows(model, zeta, prefix, sub.u_vars, extra, exact=enforced)
         if enforced:
             model.add_row([(sub.t_vars[j], 1.0), (zeta, -1.0)], EQUAL, 0.0)
-            if sub.graph.is_ndd(i):
+            if sub.pool.graph.is_ndd(i):
                 model.add_row([(sub.t_vars[i], 1.0), (zeta, -1.0)], EQUAL, 0.0)
     sub.zeta_vars[d.index] = zvars
     return zvars
@@ -483,7 +463,6 @@ def build_recourse(
     initial: KepSolution,
     u: Attack,
     pool: ExchangePool,
-    graph: CompatibilityGraph,
     policy: Policy,
     encoding: Encoding,
     lifted: bool = False,
@@ -496,7 +475,8 @@ def build_recourse(
     FR model on the vertices the enforced structures leave free, and
     ``extract_cut_solution`` adds those structures back.
     """
-    initial_pairs = initial.initial_pairs(pool, graph)
+    graph = pool.graph
+    initial_pairs = initial.initial_pairs(pool)
     enforced = (
         enforced_under_attack(initial, u, pool)
         if policy is Policy.FIX_SUCCESSFUL
@@ -518,11 +498,11 @@ def build_recourse(
         if taken.isdisjoint((a.src, a.dst)) and (lifted or u.spares(a.src, a.dst)):
             w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
             arcs[a] = model.add_variable(BINARY, obj=w)
-    _packing_rows(model, pool, graph, y_vars, arcs)
+    _packing_rows(model, pool, y_vars, arcs)
     psi_arc = rec.psi_arc_vars
     if picef and lifted:
-        for (i, j) in graph.arcs:
-            if pool.arcs_on(i, j) and u.spares(i, j) and taken.isdisjoint((i, j)):
+        for (i, j) in pool.chain_arcs:
+            if u.spares(i, j) and taken.isdisjoint((i, j)):
                 w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
                 psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
         # psi_ij needs eta on (i, j), so eta's packing rows cover psi too, and

@@ -61,8 +61,10 @@ class RobustConfig:
     time_limit: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_cycle_len < 0 or self.max_chain_len < 0 or self.budget < 0:
-            raise ValueError("cycle length, chain length and budget must be >= 0")
+        for name in ("max_cycle_len", "max_chain_len", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not isinstance(self.policy, Policy):
             raise ValueError(f"unknown policy {self.policy!r}: expected a Policy member")
         if not isinstance(self.encoding, Encoding):
@@ -119,13 +121,13 @@ def _check(outcome) -> None:
 
 
 def _recourse(
-    initial: KepSolution, u: Attack, pool: ExchangePool, graph: CompatibilityGraph,
-    policy: Policy, encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
+    initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
+    encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
 ) -> Tuple[KepSolution, int, int]:
     """Build and solve the recourse model under u, on the stage-3 clock: the
     cut solution, the recourse value and the nodes the solve explored."""
     t0 = time.perf_counter()
-    rec = build_recourse(initial, u, pool, graph, policy, encoding, lifted=lifted)
+    rec = build_recourse(initial, u, pool, policy, encoding, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
     _check(outcome)
@@ -138,7 +140,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
     stats = RobustStats()
     no_attack = Attack.of((), cfg.budget)
-    master = build_master(pool, graph, cfg.policy, cfg.encoding, [no_attack])
+    master = build_master(pool, cfg.policy, cfg.encoding, [no_attack])
     best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
     try:
         while True:
@@ -155,12 +157,12 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             x_bar = extract_initial_solution(master, outcome)
             if cfg.subproblem_method == METHOD_CUT:
                 s_val, u_star = solve_attack_subproblem_cuttingplane(
-                    x_bar, pool, graph, cfg.policy, cfg.encoding, cfg.budget,
+                    x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
                     lifting=cfg.lifting, master_value=z_bar, clock=clock, stats=stats,
                 )
             else:
                 s_val, u_star = solve_attack_subproblem_bb(
-                    x_bar, pool, graph, cfg.policy, cfg.budget,
+                    x_bar, pool, cfg.policy, cfg.budget,
                     master_value=z_bar, clock=clock, stats=stats,
                 )
             if s_val < z_bar:
@@ -179,7 +181,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
 def solve_attack_subproblem_cuttingplane(
     initial: KepSolution,
     pool: ExchangePool,
-    graph: CompatibilityGraph,
     policy: Policy,
     encoding: Encoding,
     budget: int,
@@ -197,7 +198,7 @@ def solve_attack_subproblem_cuttingplane(
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
-    sub = build_subproblem(initial, pool, graph, policy, encoding, budget)
+    sub = build_subproblem(initial, pool, policy, encoding, budget)
     add_interdiction_cut(sub, initial)
     added = {initial}  # the solutions whose cuts the model holds
     while True:
@@ -210,7 +211,7 @@ def solve_attack_subproblem_cuttingplane(
         z_sub = outcome.int_objective()
         u = extract_attack(sub, outcome)
         cut_sol, r, nodes = _recourse(
-            initial, u, pool, graph, policy, encoding, lifting, clock, stats
+            initial, u, pool, policy, encoding, lifting, clock, stats
         )
         stats.bb_nodes += nodes
         if r <= z_sub or (master_value is not None and r < master_value):
@@ -229,7 +230,6 @@ def solve_attack_subproblem_cuttingplane(
 def solve_attack_subproblem_bb(
     initial: KepSolution,
     pool: ExchangePool,
-    graph: CompatibilityGraph,
     policy: Policy,
     budget: int,
     master_value: Optional[int] = None,
@@ -253,9 +253,9 @@ def solve_attack_subproblem_bb(
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
     stats.n_subproblems += 1
-    initial_pairs = initial.initial_pairs(pool, graph)
+    initial_pairs = initial.initial_pairs(pool)
     plan = [(e, exchange_weight(e, initial_pairs)) for e in initial.exchanges(pool)]
-    nv = graph.num_vertices
+    nv = pool.graph.num_vertices
 
     best_val = sum(w for _, w in plan) + 1
     best_u = Attack.of((), budget)
@@ -281,9 +281,7 @@ def solve_attack_subproblem_bb(
         fixed = a1 | a0 | set(fill)
         fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
         u = Attack.of(a1.union(fill), budget)
-        _, val, _ = _recourse(
-            initial, u, pool, graph, policy, Encoding.CC, False, clock, stats
-        )
+        _, val, _ = _recourse(initial, u, pool, policy, Encoding.CC, False, clock, stats)
         if val < best_val:
             best_val = val
             best_u = u
@@ -306,8 +304,11 @@ def brute_force_recourse(
     graph: CompatibilityGraph,
     policy: Policy,
 ) -> int:
-    """Best recourse value under attack u by exhaustive packing search."""
-    initial_pairs = initial.initial_pairs(pool, graph)
+    """Best recourse value under attack u by exhaustive packing search;
+    ``graph`` is the reference, and a pool of another graph is rejected."""
+    if pool.graph != graph:
+        raise ValueError("the exchange pool was enumerated from a different graph")
+    initial_pairs = initial.initial_pairs(pool)
     base = 0
     blocked: Set[int] = set()
     if policy is Policy.FIX_SUCCESSFUL:
@@ -355,9 +356,12 @@ def brute_force_attack(
 
     With ``stop_below`` the search returns as soon as the incumbent value
     reaches that threshold; the result is then an upper bound on the true
-    worst case, which suffices to discard the initial solution.
+    worst case, which suffices to discard the initial solution.  As in
+    ``brute_force_recourse``, a pool of another graph is rejected.
     """
-    initial_pairs = initial.initial_pairs(pool, graph)
+    if pool.graph != graph:
+        raise ValueError("the exchange pool was enumerated from a different graph")
+    initial_pairs = initial.initial_pairs(pool)
     init_exchanges = initial.exchanges(pool)
     weights = [exchange_weight(e, initial_pairs) for e in init_exchanges]
     total = sum(weights)
@@ -411,7 +415,7 @@ def brute_force_robust(
                 f"more than {max_solutions} feasible solutions; instance too large"
             )
         sol = KepSolution.of(chosen)
-        if len(sol.initial_pairs(pool, graph)) <= best_val:
+        if len(sol.initial_pairs(pool)) <= best_val:
             return  # the value cannot exceed the number of covered pairs
         val, _ = brute_force_attack(
             sol, pool, graph, policy, budget, stop_below=best_val

@@ -92,7 +92,7 @@ def test_criterion_2_strength_instance():
     for policy in ALL_POLICIES:
         values = {}
         for encoding in ALL_ENCODINGS:
-            sub = build_subproblem(x, pool, WORKED_GRAPH, policy, encoding, 1)
+            sub = build_subproblem(x, pool, policy, encoding, 1)
             add_interdiction_cut(sub, x)
             add_interdiction_cut(sub, s2)
             values[encoding] = sub.model.solve().int_objective()
@@ -132,7 +132,7 @@ def test_criterion_3_picef_dominates_cc():
         for policy in ALL_POLICIES:
             values = {}
             for encoding in ALL_ENCODINGS:
-                sub = build_subproblem(x, pool, graph, policy, encoding, budget)
+                sub = build_subproblem(x, pool, policy, encoding, budget)
                 for S in registry:
                     add_interdiction_cut(sub, S)
                 values[encoding] = sub.model.solve().int_objective()
@@ -223,17 +223,17 @@ def test_criterion_5_lifting(suite):
         pool = build_pool(graph, 3, L)
         rng = random.Random(len(pool))
         x = _random_solution(pool, rng)
-        initial_pairs = x.initial_pairs(pool, graph)
+        initial_pairs = x.initial_pairs(pool)
         for policy in ALL_POLICIES:
             for encoding in ALL_ENCODINGS:
-                sub = build_subproblem(x, pool, graph, policy, encoding, B)
+                sub = build_subproblem(x, pool, policy, encoding, B)
                 add_interdiction_cut(sub, x)
                 while True:
                     out = sub.model.solve()
                     z_sub = out.int_objective()
                     u = extract_attack(sub, out)
                     rec = build_recourse(
-                        x, u, pool, graph, policy, encoding, True
+                        x, u, pool, policy, encoding, True
                     )
                     lifted_sol, r = extract_cut_solution(rec, rec.model.solve())
                     lifted = _cut_coefficients(

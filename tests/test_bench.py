@@ -347,11 +347,13 @@ class TestCli:
                 "--policy", "fse,fr", "--formulation", "picef,cc"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        message = str(exc.value.code)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        message = captured.err
         for flag in ("--budget", "--policy", "--formulation"):
             assert flag in message
         assert "--method" not in message and "bench" in message
-        assert capsys.readouterr().out == ""
+        assert captured.out == ""
 
     def test_solve_json_instance(self, tmp_path, capsys):
         inst = tmp_path / "g.json"
@@ -400,12 +402,14 @@ class TestCli:
               "--output", "{dir}/s.csv"], "shift must be a finite number >= 0, got -1.0"),
             (["aggregate", "--input", "{dir}/empty.csv", "--shift", "nan",
               "--output", "{dir}/s.csv"], "got nan"),
+            (["solve", "--input", "{dir}/g.kep", "--budget", "1,2"],
+             "--budget: solve takes one value per flag, bench takes lists"),
         ],
         ids=["json-float", "missing-file", "budget", "time-limit", "lifting",
              "bench-policy", "density", "aggregate-non-csv", "budget-float",
              "cycle-len-float", "bench-chain-len", "solve-output", "bench-output",
              "generate-output", "aggregate-output", "aggregate-cell",
-             "shift-negative", "shift-nan"],
+             "shift-negative", "shift-nan", "solve-budget-list"],
     )
     def test_input_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv, cause):
         def unreachable(graph, cfg):

@@ -10,6 +10,7 @@ from robustkep import (
     ExchangeKind,
     KepSolution,
     PicefArc,
+    Policy,
     build_pool,
     enumerate_chains,
     enumerate_cycles,
@@ -22,6 +23,7 @@ from robustkep.core import (
     enforcers,
     exchange_weight,
 )
+from robustkep.solvers import brute_force_attack, brute_force_recourse
 
 # 3 pairs (0,1,2), one NDD (3); the NDD feeds a path through all pairs and
 # pairs 1,2 form a 2-cycle
@@ -155,6 +157,37 @@ class TestPool:
             for v in ((3, 0), (3, 0, 1), (3, 0, 1, 2))
         ]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chain_arcs_and_arcs_into_by_position(self, seed):
+        rng = random.Random(f"pool-index/{seed}")
+        graph = generate_instance(
+            rng.randint(3, 8), rng.randint(1, 3), rng.uniform(0.2, 0.6), seed=seed
+        )
+        for L in range(0, 5):
+            pool = build_pool(graph, 3, L)
+            assert pool.graph is graph
+            assert pool.chain_arcs == [a for a in graph.arcs if pool.arcs_on(*a)]
+            for j in range(graph.num_vertices):
+                for pos in range(0, L + 2):
+                    assert pool.arcs_into(j, pos) == [
+                        a for a in pool.arcs_into(j) if a.pos == pos
+                    ]
+
+    def test_oracles_reject_pool_of_another_graph(self):
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        other = CompatibilityGraph(3, 1, ((3, 0), (0, 1), (1, 2)))
+        x = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0)))])
+        u = Attack.of([1], 1)
+        for policy in Policy:
+            with pytest.raises(ValueError, match="different graph"):
+                brute_force_recourse(x, u, pool, other, policy)
+            with pytest.raises(ValueError, match="different graph"):
+                brute_force_attack(x, pool, other, policy, 1)
+            # an equal graph, not only the same object, is accepted
+            same = CompatibilityGraph(3, 1, CHAIN_GRAPH.arcs)
+            assert brute_force_recourse(x, u, pool, same, policy) == 1
+            assert brute_force_attack(x, pool, same, policy, 1)[0] == 0
+
 
 class TestSolutionAndAttack:
     def test_solution_feasibility(self):
@@ -168,7 +201,7 @@ class TestSolutionAndAttack:
     def test_initial_pairs_excludes_ndds(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         sol = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0)))])
-        assert sol.initial_pairs(pool, CHAIN_GRAPH) == {0}
+        assert sol.initial_pairs(pool) == {0}
 
     def test_attack_budget(self):
         with pytest.raises(ValueError, match="exceeds budget"):

@@ -82,19 +82,18 @@ class TestMaster:
     def test_zero_attack_is_plain_kep(self, policy, encoding):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         master = build_master(
-            pool, CHAIN_GRAPH, policy, encoding, [Attack.of((), 1)]
+            pool, policy, encoding, [Attack.of((), 1)]
         )
         out = master.model.solve()
         assert out.int_objective() == 3
         sol = extract_initial_solution(master, out)
-        assert sol.initial_pairs(pool, CHAIN_GRAPH) == {0, 1, 2}
+        assert sol.initial_pairs(pool) == {0, 1, 2}
 
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_registered_attack_lowers_value(self, encoding):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         master = build_master(
             pool,
-            CHAIN_GRAPH,
             Policy.FULL_RECOURSE,
             encoding,
             [Attack.of((), 1), Attack.of([0], 1)],
@@ -106,13 +105,13 @@ class TestMaster:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         with pytest.raises(ValueError, match="zero attack"):
             build_master(
-                pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, []
+                pool, Policy.FULL_RECOURSE, Encoding.CC, []
             )
 
     def test_duplicate_attack_rejected(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         master = build_master(
-            pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, [Attack.of((), 1)]
+            pool, Policy.FULL_RECOURSE, Encoding.CC, [Attack.of((), 1)]
         )
         with pytest.raises(ValueError, match="already registered"):
             extend_master_with_attack(master, Attack.of((), 1))
@@ -132,7 +131,7 @@ class TestSubproblemStrength:
         s2 = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))])
         values = {}
         for encoding in ALL_ENCODINGS:
-            sub = build_subproblem(x, pool, CHAIN_GRAPH, policy, encoding, 1)
+            sub = build_subproblem(x, pool, policy, encoding, 1)
             add_interdiction_cut(sub, x)
             add_interdiction_cut(sub, s2)
             values[encoding] = sub.model.solve().int_objective()
@@ -145,7 +144,7 @@ class TestSubproblemStrength:
             [pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))]
         )
         sub = build_subproblem(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, 1
+            x, pool, Policy.FULL_RECOURSE, Encoding.CC, 1
         )
         bad = KepSolution.of(
             [
@@ -172,7 +171,7 @@ class TestCutValidity:
             if len(pool) == 0:
                 continue
             x = random_solution(pool, rng)
-            sub = build_subproblem(x, pool, graph, policy, encoding, 2)
+            sub = build_subproblem(x, pool, policy, encoding, 2)
             add_interdiction_cut(sub, x)
             for _ in range(3):
                 add_interdiction_cut(sub, random_solution(pool, rng))
@@ -190,7 +189,7 @@ class TestCutValidity:
         graph = generate_instance(6, 1, 0.4, seed=3)
         pool = build_pool(graph, 3, 3)
         x = random_solution(pool, rng)
-        sub = build_subproblem(x, pool, graph, policy, encoding, 2)
+        sub = build_subproblem(x, pool, policy, encoding, 2)
         for S in [x] + [random_solution(pool, rng) for _ in range(3)]:
             add_interdiction_cut(sub, S)
         before = sub.model.solve()
@@ -216,7 +215,7 @@ class TestCutValidity:
             cuts = [x] + [random_solution(pool, rng) for _ in range(2)]
             values = {}
             for encoding in ALL_ENCODINGS:
-                sub = build_subproblem(x, pool, graph, policy, encoding, 1)
+                sub = build_subproblem(x, pool, policy, encoding, 1)
                 for S in cuts:
                     add_interdiction_cut(sub, S)
                 values[encoding] = sub.model.solve().int_objective()
@@ -237,7 +236,7 @@ class TestRecourse:
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
             rec = build_recourse(
-                x, u, pool, graph, policy, encoding, lifted=lifted
+                x, u, pool, policy, encoding, lifted=lifted
             )
             out = rec.model.solve()
             sol, value = extract_cut_solution(rec, out)
@@ -247,7 +246,7 @@ class TestRecourse:
             assert {e.index for e in kept} <= sol.selected
             # the cut from this solution is tight at u, so a cut round that
             # finds r > z_sub always raises z_sub at u
-            sub = build_subproblem(x, pool, graph, policy, encoding, 2)
+            sub = build_subproblem(x, pool, policy, encoding, 2)
             add_interdiction_cut(sub, sol)
             assert solve_subproblem_at(sub, u).int_objective() == value
 
@@ -261,11 +260,11 @@ class TestRecourse:
         u = Attack.of([2], 1)
         policy = Policy.FIX_SUCCESSFUL
         rec = build_recourse(
-            x, u, pool, CHAIN_GRAPH, policy, encoding, lifted=lifted
+            x, u, pool, policy, encoding, lifted=lifted
         )
         sol, value = extract_cut_solution(rec, rec.model.solve())
         assert value == 1
-        sub = build_subproblem(x, pool, CHAIN_GRAPH, policy, encoding, 1)
+        sub = build_subproblem(x, pool, policy, encoding, 1)
         add_interdiction_cut(sub, sol)
         assert solve_subproblem_at(sub, u).int_objective() == value
 
@@ -280,7 +279,6 @@ class TestRecourse:
                 x,
                 u,
                 pool,
-                graph=CHAIN_GRAPH,
                 policy=Policy.FIX_SUCCESSFUL,
                 encoding=encoding,
                 lifted=False,
@@ -303,7 +301,7 @@ class TestRecourse:
             pool = build_pool(graph, 3, 3)
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
-            model = build_recourse(x, u, pool, graph, policy, encoding, lifted).model
+            model = build_recourse(x, u, pool, policy, encoding, lifted).model
             assert all(lo < hi for lo, hi in zip(model.lb, model.ub))
 
 
@@ -344,17 +342,17 @@ class TestBuiltOnGMinusU:
             graph_arcs = {(i, j) for (i, j) in graph.arcs if spared(i, j)}
             psi = {arc for arc in graph_arcs if pool.arcs_on(*arc)} if picef else set()
 
-            plain = build_recourse(x, u, pool, graph, policy, encoding)
+            plain = build_recourse(x, u, pool, policy, encoding)
             assert set(plain.y_vars) == {i for i in kept if free(*pool.exchange(i).vertices)}
             assert set(plain.picef_vars) == {a for a in arcs if free(a.src, a.dst)}
-            lifted = build_recourse(x, u, pool, graph, policy, encoding, lifted=True)
+            lifted = build_recourse(x, u, pool, policy, encoding, lifted=True)
             assert set(lifted.y_vars) == {
                 i for i in structures if free(*pool.exchange(i).vertices)
             }
             assert set(lifted.picef_vars) == {a for a in all_arcs if free(a.src, a.dst)}
             assert set(lifted.psi_arc_vars) == {arc for arc in psi if free(*arc)}
 
-            master = build_master(pool, graph, policy, encoding, [Attack.of((), 2)])
+            master = build_master(pool, policy, encoding, [Attack.of((), 2)])
             before = master.model.num_variables
             extend_master_with_attack(master, u)
             pairs = [j for j in graph.pairs if j not in u.attacked]
@@ -370,7 +368,7 @@ class TestPicefIndexOnFirstUse:
         graph = generate_instance(8, 2, 0.3, seed=5)
         pool = build_pool(graph, 3, 3)
         assert pool.cycles and pool.chains
-        master = build_master(pool, graph, policy, Encoding.CC, [Attack.of((), 1)])
+        master = build_master(pool, policy, Encoding.CC, [Attack.of((), 1)])
         x = extract_initial_solution(master, master.model.solve())
         # cut the plan's longest chain after its first arc: FSE keeps that arc
         chains = [e for e in x.exchanges(pool) if e.kind is ExchangeKind.CHAIN]
@@ -378,15 +376,15 @@ class TestPicefIndexOnFirstUse:
         u = Attack.of([chain.vertices[2]], 1)
         extend_master_with_attack(master, u)
         extract_initial_solution(master, master.model.solve())
-        sub = build_subproblem(x, pool, graph, policy, Encoding.CC, 1)
+        sub = build_subproblem(x, pool, policy, Encoding.CC, 1)
         add_interdiction_cut(sub, x)
         sub.model.solve()
         for lifted in (False, True):
-            rec = build_recourse(x, u, pool, graph, policy, Encoding.CC, lifted)
+            rec = build_recourse(x, u, pool, policy, Encoding.CC, lifted)
             extract_cut_solution(rec, rec.model.solve())
         assert "picef_arcs" not in vars(pool)
         # a PICEF model builds it on first use
-        build_master(pool, graph, policy, Encoding.PICEF, [u])
+        build_master(pool, policy, Encoding.PICEF, [u])
         assert "picef_arcs" in vars(pool)
 
 
@@ -400,11 +398,11 @@ class TestWarmMaster:
         pool = build_pool(graph, 3, 3)
         policy, encoding = Policy.FULL_RECOURSE, Encoding.PICEF
         attacks = [Attack.of((), 2)]
-        master = build_master(pool, graph, policy, encoding, attacks)
+        master = build_master(pool, policy, encoding, attacks)
         x = extract_initial_solution(master, master.model.solve())
         attacks.append(Attack.of(sorted(x.vertices(pool))[:2], 2))
         extend_master_with_attack(master, attacks[-1])
         grown = master.model.solve()
-        fresh = build_master(pool, graph, policy, encoding, attacks).model.solve()
+        fresh = build_master(pool, policy, encoding, attacks).model.solve()
         assert grown.int_objective() == fresh.int_objective()
         assert grown.lp_iterations < fresh.lp_iterations

@@ -132,6 +132,17 @@ class TestSolveRobust:
         with pytest.raises(ValueError, match="time limit must be a positive"):
             RobustConfig(3, 3, 1, time_limit=limit)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("budget", 1.5), ("budget", True), ("max_cycle_len", 3.0),
+         ("max_chain_len", "3"), ("max_chain_len", False), ("budget", -1)],
+    )
+    def test_non_integer_length_or_budget_rejected(self, field, value):
+        # bb slices with the budget and cut would read 1.5 as 1
+        kwargs = {"max_cycle_len": 3, "max_chain_len": 3, "budget": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            RobustConfig(**kwargs)
+
     @pytest.mark.parametrize("method", ["cut", "bb"])
     @pytest.mark.parametrize("stop_at", [1, 2, 3])
     def test_model_time_limit_ends_solve(self, monkeypatch, method, stop_at):
@@ -159,7 +170,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_cuttingplane(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, encoding, 1
+            x, pool, Policy.FULL_RECOURSE, encoding, 1
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
@@ -179,7 +190,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         with pytest.raises(RuntimeError, match="cut loop stalled at attack"):
             solve_attack_subproblem_cuttingplane(
-                full_chain_solution(pool), pool, CHAIN_GRAPH, Policy.FULL_RECOURSE,
+                full_chain_solution(pool), pool, Policy.FULL_RECOURSE,
                 Encoding.CC, 1, clock=solvers._Clock(3.0),
             )
 
@@ -187,7 +198,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1
+            x, pool, Policy.FULL_RECOURSE, 1
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
@@ -197,11 +208,11 @@ class TestSubproblemSolvers:
         x = full_chain_solution(pool)
         full, early = RobustStats(), RobustStats()
         solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1,
+            x, pool, Policy.FULL_RECOURSE, 1,
             stats=full,
         )
         s, _ = solve_attack_subproblem_bb(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, 1,
+            x, pool, Policy.FULL_RECOURSE, 1,
             master_value=3, stats=early,
         )
         assert s < 3
@@ -212,7 +223,7 @@ class TestSubproblemSolvers:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         s, u = solve_attack_subproblem_cuttingplane(
-            x, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE, Encoding.CC, 0
+            x, pool, Policy.FULL_RECOURSE, Encoding.CC, 0
         )
         assert s == 3 and u.attacked == frozenset()
 
@@ -221,7 +232,6 @@ class TestSubproblemSolvers:
         s, _ = solve_attack_subproblem_cuttingplane(
             KepSolution.empty(),
             pool,
-            CHAIN_GRAPH,
             Policy.FULL_RECOURSE,
             Encoding.CC,
             1,
@@ -244,11 +254,11 @@ class TestSubproblemSolvers:
             pool = build_pool(g, 3, 3)
             x = max_coverage_plan(pool)
             expected, _ = brute_force_attack(x, pool, g, policy, budget)
-            plan_value = len(x.initial_pairs(pool, g))
+            plan_value = len(x.initial_pairs(pool))
             for master_value in (None, plan_value):
                 scored.clear()
                 s, u = solve_attack_subproblem_bb(
-                    x, pool, g, policy, budget, master_value=master_value
+                    x, pool, policy, budget, master_value=master_value
                 )
                 assert len(set(scored)) == len(scored), "an attack was solved twice"
                 assert brute_force_recourse(x, u, pool, g, policy) == s
@@ -262,7 +272,7 @@ class TestSubproblemSolvers:
         pool = build_pool(g, 2, 0)
         x = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CYCLE, (0, 1)))])
         s, _ = solve_attack_subproblem_bb(
-            x, pool, g, Policy.FULL_RECOURSE, 1
+            x, pool, Policy.FULL_RECOURSE, 1
         )
         assert s == 0
 
@@ -278,10 +288,10 @@ class TestSubproblemSolvers:
             x = max_coverage_plan(pool)
             expected, _ = brute_force_attack(x, pool, g, policy, 2)
             s_cut, _ = solve_attack_subproblem_cuttingplane(
-                x, pool, g, policy, encoding, 2
+                x, pool, policy, encoding, 2
             )
             s_bb, _ = solve_attack_subproblem_bb(
-                x, pool, g, policy, 2
+                x, pool, policy, 2
             )
             assert s_cut == expected
             assert s_bb == expected
