@@ -15,6 +15,11 @@ start basis changes only when the model grows, and the node order is fixed,
 so re-solving an unchanged model replays the same warm-start sequence.  When
 scipy's private HiGHS binding cannot be imported, every node is solved cold
 with ``scipy.optimize.linprog`` instead, which is also the reference.
+
+A solve may take a ``cutoff``, the objective of a solution the caller already
+holds.  It starts as the incumbent value, so nodes that cannot beat it are
+pruned on either LP path, and ``INFEASIBLE`` then means that no solution
+beats the cutoff, not that the model has none.
 """
 
 from __future__ import annotations
@@ -148,14 +153,27 @@ class MilpModel:
 
     # -- solving ---------------------------------------------------------
 
-    def solve(self, time_limit: Optional[float] = None) -> SolveOutcome:
+    def solve(
+        self, time_limit: Optional[float] = None, cutoff: Optional[float] = None
+    ) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
 
         Branching: most-fractional binary, ties by lowest index; the value-1
         child is explored first when the variable's objective coefficient
         pushes toward 1 under the model sense.
+
+        ``cutoff`` is a value the caller already holds: it seeds the
+        incumbent value, so only solutions strictly better than it are
+        searched; with ``integral_objective`` they must beat it by a whole
+        unit, so the cutoff must then be integral.  When the
+        search ends without one, the status is ``INFEASIBLE``: nothing beats
+        the cutoff.  The best bound then counts the cutoff as an incumbent.
         """
         start = time.perf_counter()
+        sign = -1.0 if self.sense == "max" else 1.0
+        # internal minimization space
+        incumbent_val = np.inf if cutoff is None else sign * cutoff
+        improvement = 1.0 - 1e-6 if self.integral_objective else GAP_TOL
         n = self.num_variables
         if n == 0:
             # every row is empty, so its activity is 0
@@ -163,10 +181,9 @@ class MilpModel:
                 lo <= FEASIBILITY_TOL and hi >= -FEASIBILITY_TOL
                 for lo, hi in zip(self.row_lo, self.row_hi)
             )
-            if feasible:
+            if feasible and 0.0 < incumbent_val - improvement:
                 return SolveOutcome(SolveStatus.OPTIMAL, 0.0, [], 0.0, 1, 0)
             return SolveOutcome(SolveStatus.INFEASIBLE, None, None, 0.0, 1, 0)
-        sign = -1.0 if self.sense == "max" else 1.0
         c = sign * np.asarray(self.obj, dtype=float)
         node_lp = _warm_node_lp if _highs is not None else _cold_node_lp
         solve_lp = node_lp(c, self)
@@ -174,11 +191,11 @@ class MilpModel:
         base_lb = np.asarray(self.lb, dtype=float)
         base_ub = np.asarray(self.ub, dtype=float)
 
-        binaries = [i for i, k in enumerate(self.kinds) if k == BINARY]
+        binaries = np.array(
+            [i for i, k in enumerate(self.kinds) if k == BINARY], dtype=np.intp
+        )
 
         incumbent: Optional[np.ndarray] = None
-        incumbent_val = np.inf  # internal minimization space
-        improvement = 1.0 - 1e-6 if self.integral_objective else GAP_TOL
         nodes = 0
         lp_iters = 0
 
@@ -203,18 +220,20 @@ class MilpModel:
                 continue
             if bound >= incumbent_val - improvement:
                 continue
+            xb = x[binaries]
+            rounded = np.round(xb) + 0.0  # + 0.0 turns -0.0 into 0.0
+            dist = np.abs(xb - rounded)
             frac_var = -1
             frac_dist = INTEGRALITY_TOL
-            for i in binaries:
-                d = abs(x[i] - round(x[i]))
-                if d > frac_dist + 1e-12:
-                    # most fractional: largest distance from the nearest integer
-                    frac_dist = d
-                    frac_var = i
+            for k in np.flatnonzero(dist > INTEGRALITY_TOL + 1e-12).tolist():
+                if dist[k] > frac_dist + 1e-12:
+                    # most fractional: largest distance from the nearest
+                    # integer, the first of near-equal distances
+                    frac_dist = dist[k]
+                    frac_var = int(binaries[k])
             if frac_var < 0:
                 sol = x.copy()
-                for i in binaries:
-                    sol[i] = round(sol[i])
+                sol[binaries] = rounded
                 val = float(np.dot(c, sol))
                 if val < incumbent_val:
                     incumbent_val = val

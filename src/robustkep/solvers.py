@@ -6,6 +6,13 @@ attacker-side subproblem searches for an attack that beats the master's
 current value.  Two subproblem methods are provided (interdiction-cut
 generation and a combinatorial branch-and-bound), plus exhaustive
 brute-force oracles used for verification.
+
+Two solves take a cutoff, a value already in hand.  Once an attack with
+recourse value r beats the plan x_bar, x_bar has value r in the grown master,
+so the master is re-solved with cutoff r; when nothing beats it, x_bar stays
+and goes back to the attacker at value r.  In the cut loop each attacker
+solve takes the least recourse value found so far in the call; when no
+attack falls below it, that value is exact and its attack is the worst one.
 """
 
 from __future__ import annotations
@@ -120,6 +127,15 @@ def _check(outcome) -> None:
         raise RuntimeError(f"unexpected solve status {outcome.status}")
 
 
+def _beats(outcome, cutoff: Optional[int]) -> bool:
+    """Whether a solve found a solution better than its cutoff; ``False``
+    only when a cutoff left nothing to find."""
+    if cutoff is not None and outcome.status is SolveStatus.INFEASIBLE:
+        return False
+    _check(outcome)
+    return True
+
+
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
     encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
@@ -142,19 +158,24 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     no_attack = Attack.of((), cfg.budget)
     master = build_master(pool, cfg.policy, cfg.encoding, [no_attack])
     best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
+    cutoff = None  # the value x_bar holds in the current master
     try:
         while True:
             stats.master_iterations += 1
-            outcome = master.model.solve(clock.remaining())
-            _check(outcome)
+            outcome = master.model.solve(clock.remaining(), cutoff=cutoff)
+            if _beats(outcome, cutoff):
+                z_bar = outcome.int_objective()
+                x_bar = extract_initial_solution(master, outcome)
+            else:
+                # no plan beats x_bar, so z_bar is x_bar's value under the new
+                # attack, and x_bar goes back to the attacker at that value
+                z_bar = cutoff
             stats.bb_nodes += outcome.nodes_explored
-            z_bar = outcome.int_objective()
             if z_bar == 0:
                 # the robust optimum is 0; the empty plan is certified by the
                 # empty attack, which x_bar need not be: the placeholder holds both
                 best.status = "optimal"
                 break
-            x_bar = extract_initial_solution(master, outcome)
             if cfg.subproblem_method == METHOD_CUT:
                 s_val, u_star = solve_attack_subproblem_cuttingplane(
                     x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
@@ -166,7 +187,10 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
                     master_value=z_bar, clock=clock, stats=stats,
                 )
             if s_val < z_bar:
+                # u_star's block holds x_bar's exact recourse, so x_bar has
+                # value s_val in the next master, which need only beat it
                 extend_master_with_attack(master, u_star)
+                cutoff = s_val
                 continue
             best = RobustResult(z_bar, x_bar, u_star, "optimal", stats)
             break
@@ -195,19 +219,27 @@ def solve_attack_subproblem_cuttingplane(
     to beat it; the returned value is then an upper bound on s(x) that still
     certifies the master solution suboptimal.  With ``None`` it returns the
     exact s(x).
+
+    Each attacker solve takes the least recourse value found so far as its
+    cutoff: when no attack's cut value falls below it, it is s(x), and the
+    attack that gave it is returned as the worst attack.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
     sub = build_subproblem(initial, pool, policy, encoding, budget)
     add_interdiction_cut(sub, initial)
     added = {initial}  # the solutions whose cuts the model holds
+    best: Optional[Tuple[int, Attack]] = None  # least recourse value, its attack
     while True:
         stats.n_subproblems += 1
         t0 = time.perf_counter()
-        outcome = sub.model.solve(clock.remaining())
+        cutoff = None if best is None else best[0]
+        outcome = sub.model.solve(clock.remaining(), cutoff=cutoff)
         stats.time_stage2 += time.perf_counter() - t0
-        _check(outcome)
+        found = _beats(outcome, cutoff)
         stats.bb_nodes += outcome.nodes_explored
+        if not found:
+            return best
         z_sub = outcome.int_objective()
         u = extract_attack(sub, outcome)
         cut_sol, r, nodes = _recourse(
@@ -216,6 +248,8 @@ def solve_attack_subproblem_cuttingplane(
         stats.bb_nodes += nodes
         if r <= z_sub or (master_value is not None and r < master_value):
             return r, u
+        if best is None or r < best[0]:
+            best = r, u
         if cut_sol in added:
             # its cut should already hold Z >= r at u; adding it again would
             # change nothing, and the loop would never end

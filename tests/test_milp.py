@@ -306,3 +306,62 @@ class TestWarmRoot:
         monkeypatch.setattr(milp, "_highs", None)
         cold = m.solve()
         assert cold.objective == warm.objective
+
+
+class TestCutoff:
+    """``cutoff`` seeds the incumbent value: only strictly better solutions
+    are searched, and ``INFEASIBLE`` means none exists."""
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_random_models(self, lp_path, integral):
+        rng = random.Random(17)
+        for _ in range(40):
+            m, obj, rows = random_model(rng, max_vars=8)
+            m.integral_objective = integral
+            expected = enumerate_optimum(m, obj, rows)
+            if expected is None:
+                assert m.solve(cutoff=0).status is SolveStatus.INFEASIBLE
+                continue
+            worse = 1 if m.sense == "max" else -1  # one unit worse than the optimum
+            for cutoff, beaten in [
+                (expected - worse, True), (expected, False), (expected + worse, False),
+            ]:
+                out = m.solve(cutoff=cutoff)
+                if beaten:
+                    assert out.status is SolveStatus.OPTIMAL
+                    assert out.int_objective() == expected
+                    assert sum(c * x for c, x in zip(obj, out.assignment)) == expected
+                else:
+                    assert out.status is SolveStatus.INFEASIBLE
+                    assert out.objective is None and out.assignment is None
+
+    @pytest.mark.parametrize("cutoff, status", [(-1, SolveStatus.OPTIMAL),
+                                                (0, SolveStatus.INFEASIBLE)])
+    def test_no_columns(self, cutoff, status):
+        m = MilpModel("max", integral_objective=True)
+        m.add_row([], LESS_EQUAL, 1)
+        assert m.solve(cutoff=cutoff).status is status
+
+    @pytest.mark.parametrize("cutoff", [0, 19, 20])
+    def test_time_limit_is_not_infeasible(self, lp_path, ticking_clock, cutoff):
+        # the root LP bound is above 20, so no cutoff here prunes the root
+        out = TestTimeLimit().model().solve(1.5, cutoff=cutoff)
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.objective is None and out.assignment is None
+        assert out.nodes_explored == 1
+        assert out.best_bound >= 20
+
+    def test_knapsack_at_and_below_optimum(self, lp_path):
+        model = TestTimeLimit().model
+        assert model().solve(cutoff=19).int_objective() == 20
+        assert model().solve(cutoff=20).status is SolveStatus.INFEASIBLE
+
+    def test_repeated_solves_are_identical(self, lp_path):
+        rng = random.Random(19)
+        for _ in range(15):
+            m, obj, rows = random_model(rng, max_vars=8)
+            expected = enumerate_optimum(m, obj, rows)
+            cutoff = 0 if expected is None else expected - (1 if m.sense == "max" else -1)
+            for _ in range(2):  # the second round follows a grown block
+                assert m.solve(cutoff=cutoff) == m.solve(cutoff=cutoff)
+                grow_block(m, rng, obj, rows)

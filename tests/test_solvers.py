@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import random
 import types
@@ -154,14 +156,78 @@ class TestSolveRobust:
         real_solve = milp.MilpModel.solve
         calls = itertools.count(1)
 
-        def solve(model, time_limit=None):
+        def solve(model, time_limit=None, **kwargs):
             if next(calls) == stop_at:
                 time_limit = 0.5  # stops before the root node
-            return real_solve(model, time_limit)
+            return real_solve(model, time_limit, **kwargs)
 
         monkeypatch.setattr(milp.MilpModel, "solve", solve)
         cfg = RobustConfig(3, 3, 1, subproblem_method=method)
         assert solve_robust(CHAIN_GRAPH, cfg).status == "timelimit"
+
+
+def small_instance(seed):
+    return generate_instance(8, 1, 0.35, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def robust_optimum(seed, policy, budget):
+    return brute_force_robust(small_instance(seed), 3, 3, budget, policy)[0]
+
+
+@pytest.fixture
+def cutoff_paths(monkeypatch):
+    """Counts the solves that a cutoff ended ``INFEASIBLE``, by model sense:
+    "max" is a master plateau (the recourse models take no cutoff) and "min"
+    an attacker call returning its best attack."""
+    taken = collections.Counter()
+    real_solve = milp.MilpModel.solve
+
+    def solve(model, time_limit=None, cutoff=None):
+        out = real_solve(model, time_limit, cutoff=cutoff)
+        if cutoff is not None and out.status is milp.SolveStatus.INFEASIBLE:
+            taken[model.sense] += 1
+        return out
+
+    monkeypatch.setattr(milp.MilpModel, "solve", solve)
+    return taken
+
+
+class TestCutoffPaths:
+    """The master re-solve and the cut loop's attacker take a cutoff; the
+    paths where it leaves nothing to find keep values and certificates."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_paths_taken_and_values_exact(self, cutoff_paths, method, encoding, policy):
+        for seed in range(12):
+            g = small_instance(seed)
+            pool = build_pool(g, 3, 3)
+            for budget in (1, 2):
+                cfg = RobustConfig(3, 3, budget, policy, encoding, method)
+                r = solve_robust(g, cfg)
+                assert r.status == "optimal"
+                assert r.value == robust_optimum(seed, policy, budget)
+                replay = brute_force_recourse(r.initial, r.worst_attack, pool, g, policy)
+                assert replay == r.value
+        assert cutoff_paths["max"] >= 1, "no master re-solve found nothing better"
+        if method == "cut":
+            assert cutoff_paths["min"] >= 1, "no attacker call ended on its cutoff"
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_cold_path_agrees(self, monkeypatch, cutoff_paths, method):
+        cells = [(seed, policy) for seed in (0, 1, 2) for policy in ALL_POLICIES]
+        cfgs = [RobustConfig(3, 3, 2, policy, subproblem_method=method)
+                for _, policy in cells]
+        warm = [solve_robust(small_instance(seed), cfg).value
+                for (seed, _), cfg in zip(cells, cfgs)]
+        monkeypatch.setattr(milp, "_highs", None)
+        cutoff_paths.clear()
+        cold = [solve_robust(small_instance(seed), cfg).value
+                for (seed, _), cfg in zip(cells, cfgs)]
+        assert cold == warm
+        assert cutoff_paths["max"] >= 1  # the linprog path saw cutoffs too
 
 
 class TestSubproblemSolvers:
