@@ -10,6 +10,7 @@ from typing import ContextManager, Iterator, List, Optional, TextIO
 
 from .bench import (
     DEFAULT_SHIFT,
+    _on_off,
     aggregate,
     read_records,
     run_matrix,
@@ -74,9 +75,10 @@ def _int(flag: str, raw: str) -> int:
 
 
 def _flag(raw: str) -> bool:
-    if raw not in ("on", "off"):
-        raise ValueError(f"--lifting: expected on|off, got {raw!r}")
-    return raw == "on"
+    try:
+        return _on_off(raw)
+    except ValueError as exc:
+        raise ValueError(f"--lifting: {exc}") from None
 
 
 def _configs(args: argparse.Namespace) -> List[RobustConfig]:
@@ -112,6 +114,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         lines = [f"status: {result.status}"]
         if result.status == "optimal":
             lines.append(f"objective: {result.value}")
+        else:
+            lines.append(f"certified value: {result.value}")
         for e in result.exchanges:
             lines.append(f"  {e.kind.value}: {' '.join(str(v) for v in e.vertices)}")
         lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")

@@ -2,17 +2,17 @@
 
 The outer loop is column-and-constraint generation: the restricted master
 optimizes the initial solution against a growing set of attacks, and the
-attacker-side subproblem searches for an attack that beats the master's
-current value.  Two subproblem methods are provided (interdiction-cut
-generation and a combinatorial branch-and-bound), plus exhaustive
-brute-force oracles used for verification.
+attacker-side subproblem finds the worst attack on the master's plan, whose
+block the master then takes.  Two subproblem methods are provided
+(interdiction-cut generation and a combinatorial branch-and-bound), plus
+exhaustive brute-force oracles used for verification.
 
-Two solves take a cutoff, a value already in hand.  Once an attack with
-recourse value r beats the plan x_bar, x_bar has value r in the grown master,
-so the master is re-solved with cutoff r; when nothing beats it, x_bar stays
-and goes back to the attacker at value r.  In the cut loop each attacker
-solve takes the least recourse value found so far in the call; when no
-attack falls below it, that value is exact and its attack is the worst one.
+Two solves take a cutoff, a value already in hand.  The master takes the
+value of the best plan certified so far, so it looks only for a better
+plan; when none is left, that plan is optimal.  In the cut loop each
+attacker solve takes the least recourse value found so far in the call;
+when no attack falls below it, that value is exact and its attack is the
+worst one.
 """
 
 from __future__ import annotations
@@ -151,51 +151,46 @@ def _recourse(
 
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
-    """Optimal initial solution maximizing the worst-case recourse value."""
+    """Optimal initial solution maximizing the worst-case recourse value.
+
+    ``best`` holds the best plan certified so far, with its exact value and
+    worst attack; the empty plan, worth 0 under any attack, starts it.  A
+    time limit returns it as it stands.
+    """
     clock = _Clock(cfg.time_limit)  # the limit and time_total include enumeration
     pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
     stats = RobustStats()
     no_attack = Attack.of((), cfg.budget)
     master = build_master(pool, cfg.policy, cfg.encoding, [no_attack])
     best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
-    cutoff = None  # the value x_bar holds in the current master
     try:
         while True:
             stats.master_iterations += 1
-            outcome = master.model.solve(clock.remaining(), cutoff=cutoff)
-            if _beats(outcome, cutoff):
-                z_bar = outcome.int_objective()
-                x_bar = extract_initial_solution(master, outcome)
-            else:
-                # no plan beats x_bar, so z_bar is x_bar's value under the new
-                # attack, and x_bar goes back to the attacker at that value
-                z_bar = cutoff
+            outcome = master.model.solve(clock.remaining(), cutoff=best.value)
             stats.bb_nodes += outcome.nodes_explored
-            if z_bar == 0:
-                # the robust optimum is 0; the empty plan is certified by the
-                # empty attack, which x_bar need not be: the placeholder holds both
-                best.status = "optimal"
-                break
+            if not _beats(outcome, best.value):
+                break  # no plan's master value beats best, so no plan does
+            z_bar = outcome.int_objective()
+            x_bar = extract_initial_solution(master, outcome)
             if cfg.subproblem_method == METHOD_CUT:
                 s_val, u_star = solve_attack_subproblem_cuttingplane(
                     x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
-                    lifting=cfg.lifting, master_value=z_bar, clock=clock, stats=stats,
+                    lifting=cfg.lifting, clock=clock, stats=stats,
                 )
             else:
                 s_val, u_star = solve_attack_subproblem_bb(
-                    x_bar, pool, cfg.policy, cfg.budget,
-                    master_value=z_bar, clock=clock, stats=stats,
+                    x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats,
                 )
-            if s_val < z_bar:
-                # u_star's block holds x_bar's exact recourse, so x_bar has
-                # value s_val in the next master, which need only beat it
-                extend_master_with_attack(master, u_star)
-                cutoff = s_val
-                continue
-            best = RobustResult(z_bar, x_bar, u_star, "optimal", stats)
-            break
+            if s_val > best.value:
+                best = RobustResult(s_val, x_bar, u_star, "timelimit", stats)
+            if s_val == z_bar:
+                break  # x_bar meets the master's bound
+            # u_star's block holds x_bar's exact recourse, so x_bar has value
+            # s_val <= best.value in the next master, which will not return it
+            extend_master_with_attack(master, u_star)
+        best.status = "optimal"
     except TimeBudgetExceeded:
-        best.status = "timelimit"
+        pass
     stats.n_attacks = len(master.blocks)
     stats.time_total = clock.elapsed()
     best.exchanges = best.initial.exchanges(pool)
@@ -209,16 +204,10 @@ def solve_attack_subproblem_cuttingplane(
     encoding: Encoding,
     budget: int,
     lifting: bool = True,
-    master_value: Optional[int] = None,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
 ) -> Tuple[int, Attack]:
-    """Attack value s(x) by interdiction-cut generation.
-
-    With ``master_value`` given, the search stops at the first attack proven
-    to beat it; the returned value is then an upper bound on s(x) that still
-    certifies the master solution suboptimal.  With ``None`` it returns the
-    exact s(x).
+    """Attack value s(x) and a worst attack by interdiction-cut generation.
 
     Each attacker solve takes the least recourse value found so far as its
     cutoff: when no attack's cut value falls below it, it is s(x), and the
@@ -246,7 +235,7 @@ def solve_attack_subproblem_cuttingplane(
             initial, u, pool, policy, encoding, lifting, clock, stats
         )
         stats.bb_nodes += nodes
-        if r <= z_sub or (master_value is not None and r < master_value):
+        if r <= z_sub:
             return r, u
         if best is None or r < best[0]:
             best = r, u
@@ -266,11 +255,10 @@ def solve_attack_subproblem_bb(
     pool: ExchangePool,
     policy: Policy,
     budget: int,
-    master_value: Optional[int] = None,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
 ) -> Tuple[int, Attack]:
-    """Attack value by depth-first search over vertex fixings.
+    """Attack value s(x) and a worst attack by depth-first search.
 
     A node fixes vertices attacked (``a1``) and protected (``a0``).  Its open
     list, the plan's exchanges that ``a1`` spares and that have a vertex
@@ -280,9 +268,7 @@ def solve_attack_subproblem_bb(
     vertices.  That attack is solved exactly.  Branching is unrolled: child i
     fixes ``f1..f(i-1)`` attacked and ``fi`` protected, the last explored
     first, so the attacked child of a two-way branch on ``f1``, which would
-    complete to the same attack, is never solved again.  As in
-    ``solve_attack_subproblem_cuttingplane``, a given ``master_value`` stops
-    the search at the first attack below it; ``None`` gives the exact value.
+    complete to the same attack, is never solved again.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
@@ -319,8 +305,6 @@ def solve_attack_subproblem_bb(
         if val < best_val:
             best_val = val
             best_u = u
-            if master_value is not None and best_val < master_value:
-                return best_val, best_u
         for i, f in enumerate(fill):
             stack.append((a1.union(fill[:i]), a0 | {f}))
     return best_val, best_u

@@ -355,6 +355,14 @@ class TestCli:
         assert "--method" not in message and "bench" in message
         assert captured.out == ""
 
+    def test_solve_time_limit_prints_certified_value(self, tmp_path, capsys):
+        inst = tmp_path / "g.kep"
+        inst.write_text(KEP_TEXT)
+        assert main(["solve", "--input", str(inst), "--time-limit", "1e-9"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("status: timelimit\ncertified value: 0\n")
+        assert "objective" not in out
+
     def test_solve_json_instance(self, tmp_path, capsys):
         inst = tmp_path / "g.json"
         inst.write_text('{"pairs": 3, "ndds": 1, "arcs": [[3,0],[0,1],[1,2],[2,1]]}')

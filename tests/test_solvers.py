@@ -20,7 +20,6 @@ from robustkep import (
 )
 from robustkep import milp, solvers
 from robustkep.solvers import (
-    RobustStats,
     brute_force_attack,
     brute_force_recourse,
     brute_force_robust,
@@ -146,24 +145,41 @@ class TestSolveRobust:
             RobustConfig(**kwargs)
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
-    @pytest.mark.parametrize("stop_at", [1, 2, 3])
+    @pytest.mark.parametrize("stop_at", [1, 2, 3, "after-block"])
     def test_model_time_limit_ends_solve(self, monkeypatch, method, stop_at):
         """The model solve numbered ``stop_at`` (master, then attacker or
-        recourse) hits its limit on a clock that ticks once per reading."""
+        recourse) hits its limit on a clock that ticks once per reading;
+        "after-block" stops the first master re-solve after an attack, so
+        the solve returns the plan that the attacker certified."""
         ticks = itertools.count()
         clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
         monkeypatch.setattr(milp, "time", clock)
         real_solve = milp.MilpModel.solve
+        real_extend = solvers.extend_master_with_attack
         calls = itertools.count(1)
+        blocks = []
 
         def solve(model, time_limit=None, **kwargs):
-            if next(calls) == stop_at:
+            if next(calls) == stop_at or (stop_at == "after-block" and blocks):
                 time_limit = 0.5  # stops before the root node
             return real_solve(model, time_limit, **kwargs)
 
+        def extend(master, u):
+            blocks.append(u)
+            return real_extend(master, u)
+
         monkeypatch.setattr(milp.MilpModel, "solve", solve)
+        monkeypatch.setattr(solvers, "extend_master_with_attack", extend)
         cfg = RobustConfig(3, 3, 1, subproblem_method=method)
-        assert solve_robust(CHAIN_GRAPH, cfg).status == "timelimit"
+        result = solve_robust(CHAIN_GRAPH, cfg)
+        assert result.status == "timelimit"
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        replay = brute_force_recourse(
+            result.initial, result.worst_attack, pool, CHAIN_GRAPH, cfg.policy
+        )
+        assert replay == result.value
+        if stop_at == "after-block":
+            assert result.value > 0 and result.exchanges
 
 
 def small_instance(seed):
@@ -178,8 +194,9 @@ def robust_optimum(seed, policy, budget):
 @pytest.fixture
 def cutoff_paths(monkeypatch):
     """Counts the solves that a cutoff ended ``INFEASIBLE``, by model sense:
-    "max" is a master plateau (the recourse models take no cutoff) and "min"
-    an attacker call returning its best attack."""
+    "max" is a master that finds no plan better than the best certified one
+    (the recourse models take no cutoff) and "min" an attacker call
+    returning its best attack."""
     taken = collections.Counter()
     real_solve = milp.MilpModel.solve
 
@@ -194,8 +211,8 @@ def cutoff_paths(monkeypatch):
 
 
 class TestCutoffPaths:
-    """The master re-solve and the cut loop's attacker take a cutoff; the
-    paths where it leaves nothing to find keep values and certificates."""
+    """The master and the cut loop's attacker take a cutoff; the paths where
+    it leaves nothing to find keep values and certificates."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -211,9 +228,49 @@ class TestCutoffPaths:
                 assert r.value == robust_optimum(seed, policy, budget)
                 replay = brute_force_recourse(r.initial, r.worst_attack, pool, g, policy)
                 assert replay == r.value
-        assert cutoff_paths["max"] >= 1, "no master re-solve found nothing better"
+        assert cutoff_paths["max"] >= 1, "no master found nothing better"
         if method == "cut":
             assert cutoff_paths["min"] >= 1, "no attacker call ended on its cutoff"
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_one_attacker_call_per_plan(self, monkeypatch, method, encoding, policy):
+        """Each master solve that beats its cutoff returns a plan no earlier
+        master returned, and that plan is attacked once."""
+        attacked, masters, beaten = [], [], []
+        real_build, real_solve = solvers.build_master, milp.MilpModel.solve
+
+        def build_master(*args, **kwargs):
+            handle = real_build(*args, **kwargs)
+            masters.append(handle.model)
+            return handle
+
+        def solve(model, time_limit=None, cutoff=None):
+            out = real_solve(model, time_limit, cutoff=cutoff)
+            if model in masters and out.status is milp.SolveStatus.OPTIMAL:
+                beaten.append(cutoff)
+            return out
+
+        def recording(real):
+            def attack(initial, *args, **kwargs):
+                attacked.append(initial)
+                return real(initial, *args, **kwargs)
+            return attack
+
+        monkeypatch.setattr(solvers, "build_master", build_master)
+        monkeypatch.setattr(milp.MilpModel, "solve", solve)
+        for name in ("solve_attack_subproblem_cuttingplane", "solve_attack_subproblem_bb"):
+            monkeypatch.setattr(solvers, name, recording(getattr(solvers, name)))
+        for seed in range(12):
+            for budget in (1, 2):
+                for seen in (attacked, masters, beaten):
+                    seen.clear()
+                cfg = RobustConfig(3, 3, budget, policy, encoding, method)
+                assert solve_robust(small_instance(seed), cfg).status == "optimal"
+                assert len(set(attacked)) == len(attacked), "a plan was attacked twice"
+                assert len(attacked) == len(beaten)
+                assert None not in beaten  # every master solve has a cutoff
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_cold_path_agrees(self, monkeypatch, cutoff_paths, method):
@@ -269,22 +326,6 @@ class TestSubproblemSolvers:
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
 
-    def test_bb_early_exit_is_counted(self):
-        pool = build_pool(CHAIN_GRAPH, 3, 3)
-        x = full_chain_solution(pool)
-        full, early = RobustStats(), RobustStats()
-        solve_attack_subproblem_bb(
-            x, pool, Policy.FULL_RECOURSE, 1,
-            stats=full,
-        )
-        s, _ = solve_attack_subproblem_bb(
-            x, pool, Policy.FULL_RECOURSE, 1,
-            master_value=3, stats=early,
-        )
-        assert s < 3
-        assert early.bb_nodes < full.bb_nodes  # the search stopped early
-        assert early.n_subproblems == full.n_subproblems == 1
-
     def test_budget_zero(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
@@ -320,18 +361,11 @@ class TestSubproblemSolvers:
             pool = build_pool(g, 3, 3)
             x = max_coverage_plan(pool)
             expected, _ = brute_force_attack(x, pool, g, policy, budget)
-            plan_value = len(x.initial_pairs(pool))
-            for master_value in (None, plan_value):
-                scored.clear()
-                s, u = solve_attack_subproblem_bb(
-                    x, pool, policy, budget, master_value=master_value
-                )
-                assert len(set(scored)) == len(scored), "an attack was solved twice"
-                assert brute_force_recourse(x, u, pool, g, policy) == s
-                if master_value is None or expected == plan_value:
-                    assert s == expected
-                else:
-                    assert expected <= s < master_value
+            scored.clear()
+            s, u = solve_attack_subproblem_bb(x, pool, policy, budget)
+            assert len(set(scored)) == len(scored), "an attack was solved twice"
+            assert brute_force_recourse(x, u, pool, g, policy) == s
+            assert s == expected
 
     def test_bb_two_cycle_dies(self):
         g = CompatibilityGraph(2, 0, ((0, 1), (1, 0)))
