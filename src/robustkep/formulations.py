@@ -1,16 +1,18 @@
 """MILP formulations for the trilevel robust kidney exchange problem.
 
 Builds the restricted master (one variable/constraint block per registered
-attack), the attacker-side subproblem with lazily separated interdiction
-cuts, and the recourse problems used to separate those cuts (plain and
-lifted), for both the cycle-chain (CC) and position-indexed chain-edge
-(PICEF) encodings and both recourse policies.
+attack) and the attacker-side subproblem with lazily separated interdiction
+cuts, each in the cycle-chain (CC) or position-indexed chain-edge (PICEF)
+encoding, and the recourse problems used to separate those cuts (plain and
+lifted), for both recourse policies.  The recourse is one CC model for
+either encoding: the pool holds every chain up to the length limit, so it is
+exact, and the PICEF attacker takes the chains of its solutions as arc terms.
 
 Master attack blocks and plain recourse models are built on G - u, the graph
 an attack u leaves: variables only for the exchanges and arcs u does not hit.
-The lifted recourse keeps full-graph y and eta, which the lifted cut credits,
-and builds only psi on G - u.  The FSE recourse is the FR recourse on the
-vertices the enforced structures leave free, plus those structures.
+The lifted recourse keeps full-graph y, which the lifted cut credits.  The
+FSE recourse is the FR recourse on the vertices the enforced structures
+leave free, plus those structures.
 
 Every builder reads the instance through its exchange pool alone: the
 exchanges through each vertex, the PICEF arcs by head or tail (and position)
@@ -140,15 +142,6 @@ def _position_rows(
             out = [arcs[a] for a in pool.arcs_out_of(j, pos) if a in arcs]
             inc = [arcs[a] for a in pool.arcs_into(j, pos - 1) if a in arcs]
             _at_most(model, out, inc)
-
-
-def _chain_flow_rows(
-    model: MilpModel, graph: CompatibilityGraph, arc_vars: Dict[Arc, int]
-) -> None:
-    """Graph-arc precedence: pair j passes a chain on only if it got one."""
-    for j in graph.pairs:
-        out = [arc_vars[(j, k)] for k in graph.out_adj[j] if (j, k) in arc_vars]
-        _at_most(model, out, _arc_cover(graph, j, arc_vars))
 
 
 def _packing_rows(
@@ -284,7 +277,10 @@ def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
         else:
             pred = [(v, -1.0) for v in _arc_cover(graph, i, beta_vars)]
             model.add_row([(b, 1.0)] + xi + pred, GREATER_EQUAL, -1.0)
-    _chain_flow_rows(model, graph, beta_vars)
+    # a pair passes a chain on only if it got one
+    for j in graph.pairs:
+        out = [beta_vars[(j, k)] for k in graph.out_adj[j] if (j, k) in beta_vars]
+        _at_most(model, out, _arc_cover(graph, j, beta_vars))
     return beta_vars
 
 
@@ -447,16 +443,11 @@ def extract_attack(sub: SubproblemHandle, outcome: SolveOutcome) -> Attack:
 class RecourseHandle:
     model: MilpModel
     pool: ExchangePool
-    lifted: bool
     u: Attack
     initial_pairs: Set[int]
     # FSE: the plan structures u leaves intact; kept outside the model
     enforced: List[Exchange]
-    y_vars: Dict[int, int]
-    # the PICEF arc variables: psi on G - u (plain), or eta for the full-graph
-    # chains (lifted), whose unattacked part is psi per graph arc of G - u
-    picef_vars: Dict[PicefArc, int] = field(default_factory=dict)
-    psi_arc_vars: Dict[Arc, int] = field(default_factory=dict)
+    y_vars: Dict[int, int]  # by pool index
 
 
 def build_recourse(
@@ -464,18 +455,18 @@ def build_recourse(
     u: Attack,
     pool: ExchangePool,
     policy: Policy,
-    encoding: Encoding,
     lifted: bool = False,
 ) -> RecourseHandle:
-    """Weighted KEP model whose optimum is the best recourse value under u.
+    """Weighted CC KEP model whose optimum is the best recourse value under u,
+    for an attacker of either encoding.
 
     The plain variant is the KEP on G - u.  The lifted variant optimizes over
-    full-graph solutions (y and eta) whose surviving part, psi on G - u, is an
-    optimal recourse solution, yielding stronger cuts.  Under FSE both are the
-    FR model on the vertices the enforced structures leave free, and
-    ``extract_cut_solution`` adds those structures back.
+    full-graph solutions: an unattacked exchange weighs nv times its recourse
+    weight plus 1 and a hit exchange 1, so its optimum is an optimal recourse
+    solution holding as many exchanges as fit, which yields stronger cuts.
+    Under FSE both are the FR model on the vertices the enforced structures
+    leave free, and ``extract_cut_solution`` adds those structures back.
     """
-    graph = pool.graph
     initial_pairs = initial.initial_pairs(pool)
     enforced = (
         enforced_under_attack(initial, u, pool)
@@ -484,33 +475,14 @@ def build_recourse(
     )
     taken = {v for e in enforced for v in e.vertices}
     model = MilpModel("max", integral_objective=True)
-    nv = graph.num_vertices
-    picef = encoding is Encoding.PICEF
+    nv = pool.graph.num_vertices
     y_vars: Dict[int, int] = {}
-    for e in pool.cycles if picef else pool.exchanges:
+    for e in pool.exchanges:
         if taken.isdisjoint(e.vertices) and (lifted or not u.hits(e)):
             w = 0 if u.hits(e) else exchange_weight(e, initial_pairs)
             y_vars[e.index] = model.add_variable(BINARY, obj=float(w * nv + 1 if lifted else w))
-    rec = RecourseHandle(model, pool, lifted, u, initial_pairs, enforced, y_vars)
-
-    arcs = rec.picef_vars
-    for a in pool.picef_arcs if picef else ():
-        if taken.isdisjoint((a.src, a.dst)) and (lifted or u.spares(a.src, a.dst)):
-            w = 1.0 if lifted else float(arc_weight(a.dst, initial_pairs))
-            arcs[a] = model.add_variable(BINARY, obj=w)
-    _packing_rows(model, pool, y_vars, arcs)
-    psi_arc = rec.psi_arc_vars
-    if picef and lifted:
-        for (i, j) in pool.chain_arcs:
-            if u.spares(i, j) and taken.isdisjoint((i, j)):
-                w = arc_weight(j, initial_pairs) * nv + (1 if graph.is_ndd(i) else 0)
-                psi_arc[(i, j)] = model.add_variable(BINARY, obj=float(w))
-        # psi_ij needs eta on (i, j), so eta's packing rows cover psi too, and
-        # the psi arcs form chains in G - u
-        for (i, j), pv in psi_arc.items():
-            _at_most(model, [pv], [arcs[a] for a in pool.arcs_on(i, j)])
-        _chain_flow_rows(model, graph, psi_arc)
-    return rec
+    _packing_rows(model, pool, y_vars, {})
+    return RecourseHandle(model, pool, u, initial_pairs, enforced, y_vars)
 
 
 def extract_cut_solution(
@@ -519,19 +491,12 @@ def extract_cut_solution(
     """Full solution for the next interdiction cut, with the FSE enforced
     structures, and its true recourse value (the weight of its non-attacked
     part)."""
-    pool, u = rec.pool, rec.u
+    pool = rec.pool
     selected = _chosen(outcome, rec.y_vars) + [e.index for e in rec.enforced]
+    sol = _decoded(pool, selected, [], "recourse model")
     value = sum(
-        exchange_weight(pool.exchange(i), rec.initial_pairs)
-        for i in selected
-        if not u.hits(pool.exchange(i))
+        exchange_weight(e, rec.initial_pairs)
+        for e in sol.exchanges(pool)
+        if not rec.u.hits(e)
     )
-    # PICEF arcs (none in CC); lifted, eta holds the full-graph chains and psi
-    # their unattacked part
-    chain_arcs = _chosen(outcome, rec.picef_vars)
-    if rec.lifted:
-        heads = [j for (i, j) in _chosen(outcome, rec.psi_arc_vars)]
-    else:
-        heads = [a.dst for a in chain_arcs]
-    value += sum(arc_weight(j, rec.initial_pairs) for j in heads)
-    return _decoded(pool, selected, chain_arcs, "recourse model"), value
+    return sol, value

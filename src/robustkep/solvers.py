@@ -138,12 +138,12 @@ def _beats(outcome, cutoff: Optional[int]) -> bool:
 
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
-    encoding: Encoding, lifted: bool, clock: _Clock, stats: RobustStats,
+    lifted: bool, clock: _Clock, stats: RobustStats,
 ) -> Tuple[KepSolution, int, int]:
     """Build and solve the recourse model under u, on the stage-3 clock: the
     cut solution, the recourse value and the nodes the solve explored."""
     t0 = time.perf_counter()
-    rec = build_recourse(initial, u, pool, policy, encoding, lifted=lifted)
+    rec = build_recourse(initial, u, pool, policy, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
     _check(outcome)
@@ -191,7 +191,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
         best.status = "optimal"
     except TimeBudgetExceeded:
         pass
-    stats.n_attacks = len(master.blocks)
+    stats.n_attacks = len(master.blocks) - 1  # not the seed block
     stats.time_total = clock.elapsed()
     best.exchanges = best.initial.exchanges(pool)
     return best
@@ -231,9 +231,7 @@ def solve_attack_subproblem_cuttingplane(
             return best
         z_sub = outcome.int_objective()
         u = extract_attack(sub, outcome)
-        cut_sol, r, nodes = _recourse(
-            initial, u, pool, policy, encoding, lifting, clock, stats
-        )
+        cut_sol, r, nodes = _recourse(initial, u, pool, policy, lifting, clock, stats)
         stats.bb_nodes += nodes
         if r <= z_sub:
             return r, u
@@ -301,7 +299,7 @@ def solve_attack_subproblem_bb(
         fixed = a1 | a0 | set(fill)
         fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
         u = Attack.of(a1.union(fill), budget)
-        _, val, _ = _recourse(initial, u, pool, policy, Encoding.CC, False, clock, stats)
+        _, val, _ = _recourse(initial, u, pool, policy, False, clock, stats)
         if val < best_val:
             best_val = val
             best_u = u

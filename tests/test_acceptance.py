@@ -232,9 +232,7 @@ def test_criterion_5_lifting(suite):
                     out = sub.model.solve()
                     z_sub = out.int_objective()
                     u = extract_attack(sub, out)
-                    rec = build_recourse(
-                        x, u, pool, policy, encoding, True
-                    )
+                    rec = build_recourse(x, u, pool, policy, lifted=True)
                     lifted_sol, r = extract_cut_solution(rec, rec.model.solve())
                     lifted = _cut_coefficients(
                         lifted_sol, pool, initial_pairs, encoding

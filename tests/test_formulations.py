@@ -235,9 +235,7 @@ class TestRecourse:
             pool = build_pool(graph, 3, 3)
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
-            rec = build_recourse(
-                x, u, pool, policy, encoding, lifted=lifted
-            )
+            rec = build_recourse(x, u, pool, policy, lifted=lifted)
             out = rec.model.solve()
             sol, value = extract_cut_solution(rec, out)
             assert sol.is_feasible(pool)
@@ -259,9 +257,7 @@ class TestRecourse:
         x = KepSolution.of([pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0)))])
         u = Attack.of([2], 1)
         policy = Policy.FIX_SUCCESSFUL
-        rec = build_recourse(
-            x, u, pool, policy, encoding, lifted=lifted
-        )
+        rec = build_recourse(x, u, pool, policy, lifted=lifted)
         sol, value = extract_cut_solution(rec, rec.model.solve())
         assert value == 1
         sub = build_subproblem(x, pool, policy, encoding, 1)
@@ -274,26 +270,17 @@ class TestRecourse:
             [pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))]
         )
         u = Attack.of([2], 1)
-        for encoding in ALL_ENCODINGS:
-            rec = build_recourse(
-                x,
-                u,
-                pool,
-                policy=Policy.FIX_SUCCESSFUL,
-                encoding=encoding,
-                lifted=False,
-            )
-            sol, value = extract_cut_solution(rec, rec.model.solve())
-            # the prefix (3,0,1) is locked in and cannot be extended
-            assert value == 2
+        rec = build_recourse(x, u, pool, Policy.FIX_SUCCESSFUL)
+        sol, value = extract_cut_solution(rec, rec.model.solve())
+        # the prefix (3,0,1) is locked in and cannot be extended
+        assert value == 2
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("lifted", [False, True])
-    def test_no_pinned_columns(self, policy, encoding, lifted):
+    def test_no_pinned_columns(self, policy, lifted):
         """The policy reaches the recourse model only through the vertices it
         leaves free: no column has its bounds pinned to one value."""
-        rng = random.Random(f"pinned/{policy.value}/{encoding.value}/{lifted}")
+        rng = random.Random(f"pinned/{policy.value}/{lifted}")
         for trial in range(10):
             graph = generate_instance(
                 rng.randint(4, 8), rng.randint(1, 2), 0.4, seed=rng.randint(0, 9999)
@@ -301,15 +288,15 @@ class TestRecourse:
             pool = build_pool(graph, 3, 3)
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
-            model = build_recourse(x, u, pool, policy, encoding, lifted).model
+            model = build_recourse(x, u, pool, policy, lifted).model
             assert all(lo < hi for lo, hi in zip(model.lb, model.ub))
 
 
 class TestBuiltOnGMinusU:
     """Attack blocks and plain recourse models hold variables only for what
     an attack u leaves of the graph (G - u); the lifted recourse keeps its
-    full-graph y and eta and builds only psi on G - u.  Under FSE neither
-    recourse model touches a vertex of an enforced structure."""
+    full-graph y.  Both recourse models are CC in either encoding, and under
+    FSE neither touches a vertex of an enforced structure."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -339,25 +326,22 @@ class TestBuiltOnGMinusU:
             kept = {i for i in structures if not u.hits(pool.exchange(i))}
             all_arcs = set(pool.picef_arcs) if picef else set()
             arcs = {a for a in all_arcs if spared(a.src, a.dst)}
-            graph_arcs = {(i, j) for (i, j) in graph.arcs if spared(i, j)}
-            psi = {arc for arc in graph_arcs if pool.arcs_on(*arc)} if picef else set()
 
-            plain = build_recourse(x, u, pool, policy, encoding)
-            assert set(plain.y_vars) == {i for i in kept if free(*pool.exchange(i).vertices)}
-            assert set(plain.picef_vars) == {a for a in arcs if free(a.src, a.dst)}
-            lifted = build_recourse(x, u, pool, policy, encoding, lifted=True)
-            assert set(lifted.y_vars) == {
-                i for i in structures if free(*pool.exchange(i).vertices)
+            plain = build_recourse(x, u, pool, policy)
+            assert set(plain.y_vars) == {
+                e.index for e in pool.exchanges if not u.hits(e) and free(*e.vertices)
             }
-            assert set(lifted.picef_vars) == {a for a in all_arcs if free(a.src, a.dst)}
-            assert set(lifted.psi_arc_vars) == {arc for arc in psi if free(*arc)}
+            lifted = build_recourse(x, u, pool, policy, lifted=True)
+            assert set(lifted.y_vars) == {e.index for e in pool.exchanges if free(*e.vertices)}
 
             master = build_master(pool, policy, encoding, [Attack.of((), 2)])
             before = master.model.num_variables
             extend_master_with_attack(master, u)
             pairs = [j for j in graph.pairs if j not in u.attacked]
             # FSE PICEF beta only on the arcs of G - u that a PICEF arc lies on
-            beta = psi if fse else set()
+            beta = {
+                (i, j) for (i, j) in graph.arcs if spared(i, j) and pool.arcs_on(i, j)
+            } if fse and picef else set()
             added = len(kept) + len(arcs) + len(pairs) + len(beta)
             assert master.model.num_variables - before == added
 
@@ -380,7 +364,7 @@ class TestPicefIndexOnFirstUse:
         add_interdiction_cut(sub, x)
         sub.model.solve()
         for lifted in (False, True):
-            rec = build_recourse(x, u, pool, policy, Encoding.CC, lifted)
+            rec = build_recourse(x, u, pool, policy, lifted)
             extract_cut_solution(rec, rec.model.solve())
         assert "picef_arcs" not in vars(pool)
         # a PICEF model builds it on first use

@@ -101,6 +101,23 @@ class TestSolveRobust:
         cfg = RobustConfig(3, 3, 2, time_limit=1e-6)
         assert solve_robust(g, cfg).status == "timelimit"
 
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_attacks_count_only_added_blocks(self, method):
+        """Every master but the last takes one attack block; the seed block
+        of the empty attack is no attack."""
+        attacked = 0
+        for seed in range(3):
+            for encoding in ALL_ENCODINGS:
+                cfg = RobustConfig(3, 3, 2, encoding=encoding, subproblem_method=method)
+                st = solve_robust(small_instance(seed), cfg).stats
+                assert st.n_attacks == st.master_iterations - 1
+                attacked += st.n_attacks
+        assert attacked > 0
+        cfg = RobustConfig(3, 3, 2, subproblem_method=method, time_limit=1e-6)
+        result = solve_robust(small_instance(0), cfg)
+        assert result.status == "timelimit"
+        assert (result.stats.master_iterations, result.stats.n_attacks) == (1, 0)
+
     def test_bad_method_rejected(self):
         for method in ("simplex", "oracle"):
             with pytest.raises(ValueError, match=f"subproblem method '{method}'"):
