@@ -276,11 +276,14 @@ class TestRecourse:
         assert value == 2
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("lifted", [False, True])
-    def test_no_pinned_columns(self, policy, lifted):
+    def test_no_pinned_columns(self, policy, encoding, lifted):
         """The policy reaches the recourse model only through the vertices it
-        leaves free: no column has its bounds pinned to one value."""
-        rng = random.Random(f"pinned/{policy.value}/{lifted}")
+        leaves free, and the master's attack block for the same attack only
+        through its rows: no column of either has its bounds pinned to one
+        value."""
+        rng = random.Random(f"pinned/{policy.value}/{encoding.value}/{lifted}")
         for trial in range(10):
             graph = generate_instance(
                 rng.randint(4, 8), rng.randint(1, 2), 0.4, seed=rng.randint(0, 9999)
@@ -289,6 +292,11 @@ class TestRecourse:
             x = random_solution(pool, rng)
             u = random_attack(graph, 2, rng)
             model = build_recourse(x, u, pool, policy, lifted).model
+            assert all(lo < hi for lo, hi in zip(model.lb, model.ub))
+            if not u.attacked:
+                continue
+            master = build_master(pool, policy, encoding, [Attack.of((), 2)])
+            model = extend_master_with_attack(master, u).model
             assert all(lo < hi for lo, hi in zip(model.lb, model.ub))
 
 
