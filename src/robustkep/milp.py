@@ -1,18 +1,21 @@
 """Small exact 0-1 MILP solver.
 
 LP relaxations are solved with HiGHS; integrality is enforced by a
-deterministic depth-first branch-and-bound on fractional binaries.  Each
-solve builds one HiGHS LP and only changes column bounds from node to node,
-so the dual simplex restarts from the basis the previous node left.  Rows
-are stored once, as they are added, in the compressed-sparse-row form the LP
+deterministic depth-first branch-and-bound on fractional binaries.  Rows are
+stored once, as they are added, in the compressed-sparse-row form the LP
 takes (column indices, coefficients and row starts, plus a lower and an upper
-bound per row), and can be appended between solves (lazy cuts); ``fix`` sets
-a variable's column bounds to its value.  A re-solve after the model grew
-(new columns or rows, as a master block or a cut adds them) starts its root
-from the basis the last optimal root ended in, padded with the new columns
-at their lower bound and the new rows basic.  Solves stay reproducible: that
-start basis changes only when the model grows, and the node order is fixed,
-so re-solving an unchanged model replays the same warm-start sequence.  When
+bound per row), and can be appended between solves (lazy cuts);
+``set_bounds`` changes a variable's column bounds.
+
+The model owns one HiGHS LP: its first solve passes the model, and later
+solves append the columns and rows added since (``addCols``/``addRows``).
+Nodes change only column bounds, so the dual simplex restarts from the basis
+the previous node left.  After the model grew or had its bounds set, the
+root starts from the basis the last optimal root ended in, padded with any
+new columns at their lower bound and new rows basic; otherwise it starts
+cold, from a cleared solver.  Solves stay reproducible: that start basis
+changes only with the model, and the node order is fixed, so re-solving an
+unchanged model replays the same solve, LP iterations included.  When
 scipy's private HiGHS binding cannot be imported, every node is solved cold
 with ``scipy.optimize.linprog`` instead, which is also the reference.
 
@@ -100,9 +103,11 @@ class MilpModel:
         self.row_hi: List[float] = []
         # the basis the last optimal root LP ended in, and the basis the next
         # root starts from: a copy of the former, taken only when the model
-        # grows, so re-solving an unchanged model replays the same solve
+        # grows or its bounds are set, so re-solving an unchanged model
+        # replays the same solve
         self.root_basis = None
         self.start_basis = None
+        self._lp = None  # the HiGHS LP of the warm path, made by its first solve
 
     @property
     def num_variables(self) -> int:
@@ -146,10 +151,14 @@ class MilpModel:
         self.start_basis = self.root_basis
         return self.num_rows - 1
 
-    def fix(self, var: int, value: float) -> None:
+    def set_bounds(self, var: int, lb: float, ub: float) -> None:
         if not 0 <= var < self.num_variables:
             raise ValueError(f"invalid variable handle {var}")
-        self.lb[var] = self.ub[var] = float(value)
+        if lb > ub:
+            raise ValueError(f"lower bound {lb} exceeds upper bound {ub}")
+        self.lb[var] = float(lb)
+        self.ub[var] = float(ub)
+        self.start_basis = self.root_basis
 
     # -- solving ---------------------------------------------------------
 
@@ -272,21 +281,16 @@ class MilpModel:
 
 
 def _warm_node_lp(c, model):
-    """Node LPs on one HiGHS instance: each node changes only column bounds,
+    """Node LPs on the model's HiGHS LP: each node changes only column bounds,
     so the dual simplex restarts from the previous node's basis.  The root
-    starts from ``model.start_basis`` when there is one, and an optimal root
-    leaves its final basis in ``model.root_basis``."""
+    starts from ``model.start_basis`` when there is one, else cold, and an
+    optimal root leaves its final basis in ``model.root_basis``."""
     n = len(c)
-    zeros = np.zeros(n)  # every node sets its own column bounds
-    highs = _highs._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.passModel(
-        n, model.num_rows, len(model.data), _highs.MatrixFormat.kRowwise,
-        _highs.ObjSense.kMinimize, 0.0, c, zeros, zeros, model.row_lo, model.row_hi,
-        model.indptr, model.indices, model.data, np.zeros(n, dtype=np.int32),
-    )
+    highs = _live_lp(c, model)
     if model.start_basis is not None:
         highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
+    else:
+        highs.clearSolver()
     cols = np.arange(n, dtype=np.int32)
     root = True
 
@@ -315,20 +319,55 @@ def _warm_node_lp(c, model):
     return solve_node
 
 
+def _live_lp(c, model):
+    """The model's HiGHS LP, made on first use, with the columns and rows
+    added since its last solve appended.  Column bounds are left to the
+    nodes; costs and row bounds are set as the columns and rows arrive."""
+    highs = model._lp
+    if highs is None:
+        n = len(c)
+        zeros = np.zeros(n)
+        highs = model._lp = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.passModel(
+            n, model.num_rows, len(model.data), _highs.MatrixFormat.kRowwise,
+            _highs.ObjSense.kMinimize, 0.0, c, zeros, zeros, model.row_lo,
+            model.row_hi, model.indptr, model.indices, model.data,
+            np.zeros(n, dtype=np.int32),
+        )
+        return highs
+    cols, rows = highs.getNumCol(), highs.getNumRow()
+    new = len(c) - cols
+    if new:
+        # rows are stored rowwise, so the new columns arrive empty
+        zeros = np.zeros(new)
+        none = np.zeros(0, dtype=np.int32)
+        highs.addCols(new, c[cols:], zeros, zeros, 0, none, none, np.zeros(0))
+    if model.num_rows > rows:
+        first = model.indptr[rows]
+        highs.addRows(
+            model.num_rows - rows, model.row_lo[rows:], model.row_hi[rows:],
+            len(model.data) - first,
+            np.asarray(model.indptr[rows:-1], dtype=np.int32) - first,
+            model.indices[first:], model.data[first:],
+        )
+    return highs
+
+
 def _grown_basis(basis, num_cols, num_rows):
     """``basis`` extended to a grown model: the new columns sit at their lower
     bound and the new rows are basic.  Its basis matrix is the old one plus
-    the new rows' slacks, so it is nonsingular and HiGHS need not check it."""
+    the new rows' slacks, so it is nonsingular and HiGHS need not check it.
+    A model that did not grow takes ``basis`` itself."""
+    cols, rows = basis.col_status, basis.row_status  # each read copies the list
+    if len(cols) == num_cols and len(rows) == num_rows:
+        return basis
     grown = _highs.HighsBasis()
     grown.valid = True
     grown.alien = False
     status = _highs.HighsBasisStatus
-    grown.col_status = basis.col_status + [status.kLower] * (
-        num_cols - len(basis.col_status)
-    )
-    grown.row_status = basis.row_status + [status.kBasic] * (
-        num_rows - len(basis.row_status)
-    )
+    grown.col_status = cols + [status.kLower] * (num_cols - len(cols))
+    grown.row_status = rows + [status.kBasic] * (num_rows - len(rows))
     return grown
 
 

@@ -35,6 +35,7 @@ from .core import (
 )
 from .formulations import (
     Encoding,
+    RecourseHandle,
     add_interdiction_cut,
     build_master,
     build_recourse,
@@ -141,7 +142,11 @@ def _recourse(
     lifted: bool, clock: _Clock, stats: RobustStats,
 ) -> Tuple[KepSolution, int, int]:
     """Build and solve the recourse model under u, on the stage-3 clock: the
-    cut solution, the recourse value and the nodes the solve explored."""
+    cut solution, the recourse value and the nodes the solve explored.
+
+    The cut loop builds a new model, solved cold, in every round: solving
+    the lifted recourse warm, or on one model with the hit columns pinned,
+    picks other optimal cut solutions, and the cut search grows."""
     t0 = time.perf_counter()
     rec = build_recourse(initial, u, pool, policy, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
@@ -267,6 +272,10 @@ def solve_attack_subproblem_bb(
     fixes ``f1..f(i-1)`` attacked and ``fi`` protected, the last explored
     first, so the attacked child of a two-way branch on ``f1``, which would
     complete to the same attack, is never solved again.
+
+    Every attack is scored on one recourse model, the FR recourse of the
+    whole pool, by bounds alone (``_attack_value``); the search needs only
+    the values, so it does not depend on how they are found.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
@@ -274,6 +283,8 @@ def solve_attack_subproblem_bb(
     initial_pairs = initial.initial_pairs(pool)
     plan = [(e, exchange_weight(e, initial_pairs)) for e in initial.exchanges(pool)]
     nv = pool.graph.num_vertices
+    rec = build_recourse(initial, Attack.of((), budget), pool, Policy.FULL_RECOURSE)
+    off: Set[int] = set()  # the exchanges the last scored attack turned off
 
     best_val = sum(w for _, w in plan) + 1
     best_u = Attack.of((), budget)
@@ -299,13 +310,46 @@ def solve_attack_subproblem_bb(
         fixed = a1 | a0 | set(fill)
         fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
         u = Attack.of(a1.union(fill), budget)
-        _, val, _ = _recourse(initial, u, pool, policy, False, clock, stats)
+        val = _attack_value(initial, u, rec, policy, off, clock, stats)
         if val < best_val:
             best_val = val
             best_u = u
         for i, f in enumerate(fill):
             stack.append((a1.union(fill[:i]), a0 | {f}))
     return best_val, best_u
+
+
+def _attack_value(
+    initial: KepSolution, u: Attack, rec: RecourseHandle, policy: Policy,
+    off: Set[int], clock: _Clock, stats: RobustStats,
+) -> int:
+    """Recourse value under u on ``rec``, the FR recourse of the whole pool,
+    on the stage-3 clock.  The exchanges through u, and under FSE through
+    the structures it enforces, get upper bound 0; the optimum plus the
+    enforced weight is the value.  ``off`` holds the exchanges the previous
+    attack turned off: those u spares are turned back on, and ``off`` ends
+    holding u's."""
+    t0 = time.perf_counter()
+    pool, model = rec.pool, rec.model
+    enforced = (
+        enforced_under_attack(initial, u, pool)
+        if policy is Policy.FIX_SUCCESSFUL
+        else []
+    )
+    blocked = u.attacked.union(*(e.vertices for e in enforced))
+    now = {i for v in blocked for i in pool.involving(v)}
+    for i in off - now:
+        model.set_bounds(rec.y_vars[i], 0.0, 1.0)
+    for i in now - off:
+        model.set_bounds(rec.y_vars[i], 0.0, 0.0)
+    off.clear()
+    off.update(now)
+    outcome = model.solve(clock.remaining())
+    stats.time_stage3 += time.perf_counter() - t0
+    _check(outcome)
+    return outcome.int_objective() + sum(
+        exchange_weight(e, rec.initial_pairs) for e in enforced
+    )
 
 
 # ---------------------------------------------------------------------------

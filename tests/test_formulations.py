@@ -35,15 +35,17 @@ ALL_ENCODINGS = [Encoding.CC, Encoding.PICEF]
 
 def solve_subproblem_at(sub, u):
     """Solve the subproblem with the attack fixed to u, then restore the
-    attack variables' bounds; used for cut validation."""
+    attack variables' bounds and the basis the next root starts from; used
+    for cut validation."""
     model = sub.model
-    saved = list(model.lb), list(model.ub)
+    saved = list(model.lb), list(model.ub), model.start_basis
     try:
         for j, v in sub.u_vars.items():
-            model.fix(v, 1.0 if j in u.attacked else 0.0)
+            val = 1.0 if j in u.attacked else 0.0
+            model.set_bounds(v, val, val)
         return model.solve()
     finally:
-        model.lb, model.ub = saved
+        model.lb, model.ub, model.start_basis = saved
 
 
 def random_solution(pool, rng):

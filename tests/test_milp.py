@@ -77,7 +77,7 @@ class TestSolve:
 
     def test_fixings(self):
         m, (a, b, c) = knapsack_model()
-        m.fix(a, 0)
+        m.set_bounds(a, 0, 0)
         out = m.solve()
         assert out.int_objective() == 7
         assert out.value(a) == 0
@@ -116,9 +116,10 @@ def random_model(rng, max_vars=15):
 
 
 def enumerate_optimum(m, obj, rows):
-    n = m.num_variables
+    """Best objective over the 0-1 points within the model's column bounds."""
     best = None
-    for bits in itertools.product((0, 1), repeat=n):
+    ranges = [range(round(lo), round(hi) + 1) for lo, hi in zip(m.lb, m.ub)]
+    for bits in itertools.product(*ranges):
         ok = True
         for coeffs, relation, rhs in rows:
             lhs = sum(coef * bits[var] for var, coef in coeffs)
@@ -259,11 +260,18 @@ def grow_block(m, rng, obj, rows):
         m.add_row(*rows[-1])
 
 
-class TestWarmRoot:
-    """Each re-solve of a grown model starts its root from the basis the
-    previous optimal root ended in (warm path); values never depend on it."""
+def random_bounds(m, rng):
+    """Set one to three random variables' bounds to 0, to 1 or back to both."""
+    for var in rng.sample(range(m.num_variables), rng.randint(1, min(3, m.num_variables))):
+        m.set_bounds(var, *rng.choice([(0, 0), (1, 1), (0, 1)]))
 
-    def test_grown_models(self, lp_path):
+
+class TestWarmRoot:
+    """Each re-solve of a grown or re-bounded model starts its root from the
+    basis the previous optimal root ended in (warm path); values never
+    depend on it."""
+
+    def test_grown_models(self, lp_path, monkeypatch):
         rng = random.Random(13)
         for _ in range(25):
             m, obj, rows = random_model(rng, max_vars=6)
@@ -276,7 +284,44 @@ class TestWarmRoot:
                 else:
                     assert out.status is SolveStatus.OPTIMAL
                     assert out.int_objective() == expected
+                with monkeypatch.context() as cold_path:
+                    cold_path.setattr(milp, "_highs", None)
+                    cold = m.solve()
+                assert (cold.status, cold.objective) == (out.status, out.objective)
+                random_bounds(m, rng)
                 grow_block(m, rng, obj, rows)
+
+    def test_unchanged_model_replays(self, lp_path):
+        """A re-solve of an unchanged model starts its root cold again, not
+        from the basis the previous solve's last node left."""
+        m = TestTimeLimit().model()  # 41 nodes
+        out = m.solve()
+        assert m.solve() == out
+
+    def test_one_highs_object_per_model(self, monkeypatch):
+        if milp._highs is None:
+            pytest.skip("scipy's HiGHS binding is not importable")
+        built = []
+        real = milp._highs._Highs
+
+        def counting():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(milp._highs, "_Highs", counting)
+        m, (a, b, c) = knapsack_model()
+        obj, rows = [5, 4, 3], [([(a, 2), (b, 3), (c, 1)], LESS_EQUAL, 4)]
+        assert m.solve().int_objective() == 8
+        d = m.add_variable(BINARY, obj=6)  # grow
+        obj.append(6)
+        rows.append(([(c, 1), (d, 1)], LESS_EQUAL, 1))
+        m.add_row(*rows[-1])
+        assert m.solve().int_objective() == enumerate_optimum(m, obj, rows)
+        m.set_bounds(a, 0, 0)  # re-bound
+        out = m.solve()
+        assert out.int_objective() == enumerate_optimum(m, obj, rows)
+        assert m.solve() == out  # re-solve
+        assert len(built) == 1
 
     def test_infeasible_root_is_not_recorded(self, monkeypatch):
         if milp._highs is None:
@@ -291,8 +336,8 @@ class TestWarmRoot:
         rows.append(([(c, 1), (d, 1)], LESS_EQUAL, 1))
         m.add_row(*rows[-1])
         saved = list(m.lb), list(m.ub)
-        m.fix(a, 1)
-        m.fix(b, 1)  # 2a + 3b > 4: the root LP, started warm, is infeasible
+        m.set_bounds(a, 1, 1)
+        m.set_bounds(b, 1, 1)  # 2a + 3b > 4: the root LP, started warm, is infeasible
         assert m.solve().status is SolveStatus.INFEASIBLE
         assert m.root_basis is recorded
         m.lb, m.ub = saved

@@ -366,13 +366,13 @@ class TestSubproblemSolvers:
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_bb_solves_each_attack_once(self, monkeypatch, policy, budget):
         scored = []
-        real = solvers._recourse
+        real = solvers._attack_value
 
         def recording(initial, u, *args):
             scored.append(u)
             return real(initial, u, *args)
 
-        monkeypatch.setattr(solvers, "_recourse", recording)
+        monkeypatch.setattr(solvers, "_attack_value", recording)
         for seed in range(4):
             g = generate_instance(10, 2, 0.3, seed=seed)
             pool = build_pool(g, 3, 3)
@@ -383,6 +383,39 @@ class TestSubproblemSolvers:
             assert len(set(scored)) == len(scored), "an attack was solved twice"
             assert brute_force_recourse(x, u, pool, g, policy) == s
             assert s == expected
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_bb_scores_on_one_model(self, monkeypatch, policy, budget):
+        """bb re-bounds one recourse model per call from attack to attack:
+        every value it scores is exact, so no bound of an earlier attack
+        survives, and the cold LP path scores the same attacks to the same
+        result."""
+        scored = []
+        real = solvers._attack_value
+
+        def recording(initial, u, *args):
+            scored.append((u, real(initial, u, *args)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(solvers, "_attack_value", recording)
+        warm_highs = milp._highs
+        rebounded = 0  # the attacks scored after another one in the same call
+        for seed in range(8):
+            g = generate_instance(6 + seed % 4, 1 + seed % 2, 0.35, seed=seed)
+            pool = build_pool(g, 3, 3)
+            x = max_coverage_plan(pool)
+            runs = []
+            for highs in (warm_highs, None):
+                monkeypatch.setattr(milp, "_highs", highs)
+                scored.clear()
+                result = solve_attack_subproblem_bb(x, pool, policy, budget)
+                runs.append((list(scored), result))
+            rebounded += len(runs[0][0]) - 1
+            for u, val in runs[0][0]:
+                assert val == brute_force_recourse(x, u, pool, g, policy)
+            assert runs[0] == runs[1]
+        assert rebounded >= 8
 
     def test_bb_two_cycle_dies(self):
         g = CompatibilityGraph(2, 0, ((0, 1), (1, 0)))
