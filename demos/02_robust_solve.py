@@ -58,5 +58,5 @@ print(f"recourse after that attack still saves {achieved} planned pairs")
 st = result.stats
 print(
     f"({st.master_iterations} outer iterations, {st.n_attacks} attacks "
-    f"registered, {st.n_subproblems} attacker solves, {st.time_total:.2f}s)"
+    f"registered, {st.n_subproblems} attacker calls, {st.time_total:.2f}s)"
 )

@@ -44,7 +44,7 @@ class BenchRecord:
     time_stage2_s: float
     time_stage3_s: float
     n_attacks: int
-    n_subproblems: int
+    n_subproblems: int  # attacker calls, one per attacked plan
     bb_nodes: int
 
     @property
@@ -215,7 +215,8 @@ def aggregate(
     records: Sequence[BenchRecord], shift: float = DEFAULT_SHIFT
 ) -> List[Dict[str, object]]:
     """Per-group summary: count solved, shifted geometric mean of total times,
-    arithmetic means of attack/subproblem/node counts over solved cells."""
+    arithmetic means over solved cells of the attacks, the attacker calls
+    (``mean_subproblems``, one call per attacked plan) and the nodes."""
     _check_shift(shift)  # also when no group has a solved cell
     groups: Dict[Tuple, List[BenchRecord]] = {}
     for rec in records:

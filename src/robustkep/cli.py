@@ -122,7 +122,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         st = result.stats
         lines.append(
             f"iterations: {st.master_iterations}  attacks: {st.n_attacks}  "
-            f"subproblems: {st.n_subproblems}  nodes: {st.bb_nodes}  "
+            f"attacker calls: {st.n_subproblems}  nodes: {st.bb_nodes}  "
             f"time: {st.time_total:.3f}s"
         )
         fh.write("\n".join(lines) + "\n")

@@ -428,10 +428,14 @@ def add_interdiction_cut(sub: SubproblemHandle, S: KepSolution) -> int:
     return sub.model.add_row(coeffs, GREATER_EQUAL, 0.0)
 
 
+def attack_at(sub: SubproblemHandle, x: Sequence[float]) -> Attack:
+    """The attack an integer attacker point ``x`` encodes: the vertices
+    whose u is 1."""
+    return Attack.of((j for j, v in sub.u_vars.items() if x[v] > 0.5), sub.budget)
+
+
 def extract_attack(sub: SubproblemHandle, outcome: SolveOutcome) -> Attack:
-    return Attack.of(
-        (j for j, v in sub.u_vars.items() if outcome.value(v) > 0.5), sub.budget
-    )
+    return attack_at(sub, outcome.assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,22 @@ A solve may take a ``cutoff``, the objective of a solution the caller already
 holds.  It starts as the incumbent value, so nodes that cannot beat it are
 pruned on either LP path, and ``INFEASIBLE`` then means that no solution
 beats the cutoff, not that the model has none.
+
+A solve may also take a ``lazy`` hook, called at each node whose LP solution
+is integral, for constraints too many to state up front.  The hook returns
+that integer point's true objective, which makes it the incumbent when it is
+better, and may add rows, or columns and rows, that the point violates.  A
+node whose hook added something is solved again, and the re-solve counts as
+a node: the live HiGHS LP takes the new rows and columns and keeps its basis,
+and the ``linprog`` path rebuilds its matrices.  Each node's LP bound must
+stay a bound on the true objective of the integer points in the node, so
+additions may only tighten the relaxation; nodes pruned before them then
+stay validly pruned.  A point that violates what the hook adds may be valued at
+the worst objective (``-inf`` under ``max``, ``inf`` under ``min``), so it
+never becomes the incumbent.  A hook that adds nothing must value the point
+at its objective, which is the node's LP bound: the node is closed on that
+value, and on any other its other integer points would be skipped or
+misjudged, so the solve raises.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -136,10 +152,11 @@ class MilpModel:
     ) -> int:
         if relation not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
             raise ValueError(f"unknown relation {relation!r}")
+        n = self.num_variables
         indices: List[int] = []
         data: List[float] = []
         for var, coef in coeffs:
-            if not 0 <= var < self.num_variables:
+            if not 0 <= var < n:
                 raise ValueError(f"invalid variable handle {var}")
             indices.append(var)
             data.append(float(coef))
@@ -160,10 +177,27 @@ class MilpModel:
         self.ub[var] = float(ub)
         self.start_basis = self.root_basis
 
+    def _column_arrays(self):
+        """The costs in minimization form, the column bounds and the binary
+        columns, as arrays: made at the start of a solve and again when a
+        lazy hook grew the model."""
+        sign = -1.0 if self.sense == "max" else 1.0
+        return (
+            sign * np.asarray(self.obj, dtype=float),
+            np.asarray(self.lb, dtype=float),
+            np.asarray(self.ub, dtype=float),
+            np.array(
+                [i for i, k in enumerate(self.kinds) if k == BINARY], dtype=np.intp
+            ),
+        )
+
     # -- solving ---------------------------------------------------------
 
     def solve(
-        self, time_limit: Optional[float] = None, cutoff: Optional[float] = None
+        self,
+        time_limit: Optional[float] = None,
+        cutoff: Optional[float] = None,
+        lazy: Optional[Callable[[np.ndarray], float]] = None,
     ) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
 
@@ -177,14 +211,18 @@ class MilpModel:
         unit, so the cutoff must then be integral.  When the
         search ends without one, the status is ``INFEASIBLE``: nothing beats
         the cutoff.  The best bound then counts the cutoff as an incumbent.
+
+        ``lazy(x)`` is called with each integer node solution and returns its
+        true objective (see the module docstring).  The incumbent is then the
+        point the hook valued best, with that value as the objective; its
+        assignment is padded with the lower bounds of columns added later.
         """
         start = time.perf_counter()
         sign = -1.0 if self.sense == "max" else 1.0
         # internal minimization space
         incumbent_val = np.inf if cutoff is None else sign * cutoff
         improvement = 1.0 - 1e-6 if self.integral_objective else GAP_TOL
-        n = self.num_variables
-        if n == 0:
+        if self.num_variables == 0:
             # every row is empty, so its activity is 0
             feasible = all(
                 lo <= FEASIBILITY_TOL and hi >= -FEASIBILITY_TOL
@@ -193,16 +231,9 @@ class MilpModel:
             if feasible and 0.0 < incumbent_val - improvement:
                 return SolveOutcome(SolveStatus.OPTIMAL, 0.0, [], 0.0, 1, 0)
             return SolveOutcome(SolveStatus.INFEASIBLE, None, None, 0.0, 1, 0)
-        c = sign * np.asarray(self.obj, dtype=float)
+        c, base_lb, base_ub, binaries = self._column_arrays()
         node_lp = _warm_node_lp if _highs is not None else _cold_node_lp
         solve_lp = node_lp(c, self)
-
-        base_lb = np.asarray(self.lb, dtype=float)
-        base_ub = np.asarray(self.ub, dtype=float)
-
-        binaries = np.array(
-            [i for i, k in enumerate(self.kinds) if k == BINARY], dtype=np.intp
-        )
 
         incumbent: Optional[np.ndarray] = None
         nodes = 0
@@ -244,9 +275,24 @@ class MilpModel:
                 sol = x.copy()
                 sol[binaries] = rounded
                 val = float(np.dot(c, sol))
+                grew = False
+                if lazy is not None:
+                    size = self.num_variables, self.num_rows
+                    value = sign * lazy(sol)
+                    grew = (self.num_variables, self.num_rows) != size
+                    if not grew and abs(value - val) > GAP_TOL:
+                        raise RuntimeError(
+                            f"lazy hook added nothing but valued an integer point "
+                            f"at {sign * value}, not at its objective {sign * val}"
+                        )
+                    val = value
                 if val < incumbent_val:
                     incumbent_val = val
                     incumbent = sol
+                if grew:  # solve the node again, on the grown model
+                    c, base_lb, base_ub, binaries = self._column_arrays()
+                    solve_lp = node_lp(c, self, resume=True)
+                    stack.append((overrides, bound))
                 continue
             one_first = c[frac_var] <= 0  # coefficient rewards value 1
             children = [
@@ -265,7 +311,7 @@ class MilpModel:
         return SolveOutcome(
             status,
             sign * incumbent_val if found else None,
-            list(incumbent) if found else None,
+            list(incumbent) + list(base_lb[len(incumbent):]) if found else None,
             # the best open bound; the incumbent's value once no node is open
             sign * min([incumbent_val] + [pb for (_, pb) in stack]),
             nodes,
@@ -275,24 +321,28 @@ class MilpModel:
 
 # -- node LPs ---------------------------------------------------------------
 #
-# A node LP solver is made once per solve from the objective and the rows; it
-# is called with one node's column bounds and returns (objective, x, simplex
+# A node LP solver is made once per solve from the objective and the rows,
+# and made again with ``resume`` when a lazy hook grew the model; it is called
+# with one node's column bounds and returns (objective, x, simplex
 # iterations), with x None when the node is infeasible.
 
 
-def _warm_node_lp(c, model):
+def _warm_node_lp(c, model, resume=False):
     """Node LPs on the model's HiGHS LP: each node changes only column bounds,
     so the dual simplex restarts from the previous node's basis.  The root
     starts from ``model.start_basis`` when there is one, else cold, and an
-    optimal root leaves its final basis in ``model.root_basis``."""
+    optimal root leaves its final basis in ``model.root_basis``.  ``resume``
+    appends what the model gained in the solve and keeps the basis, with the
+    new rows basic."""
     n = len(c)
     highs = _live_lp(c, model)
-    if model.start_basis is not None:
-        highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
-    else:
-        highs.clearSolver()
+    if not resume:
+        if model.start_basis is not None:
+            highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
+        else:
+            highs.clearSolver()
     cols = np.arange(n, dtype=np.int32)
-    root = True
+    root = not resume
 
     def solve_node(lb, ub):
         nonlocal root
@@ -371,8 +421,9 @@ def _grown_basis(basis, num_cols, num_rows):
     return grown
 
 
-def _cold_node_lp(c, model):
-    """Node LPs by one cold ``linprog`` call each; the reference path."""
+def _cold_node_lp(c, model, resume=False):
+    """Node LPs by one cold ``linprog`` call each; the reference path, which
+    builds its matrices afresh whether or not it ``resume``s a solve."""
     shape = (model.num_rows, len(c))
     a = csr_matrix((model.data, model.indices, model.indptr), shape=shape)
     row_lo, row_hi = np.array(model.row_lo), np.array(model.row_hi)

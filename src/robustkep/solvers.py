@@ -7,12 +7,12 @@ block the master then takes.  Two subproblem methods are provided
 (interdiction-cut generation and a combinatorial branch-and-bound), plus
 exhaustive brute-force oracles used for verification.
 
-Two solves take a cutoff, a value already in hand.  The master takes the
-value of the best plan certified so far, so it looks only for a better
-plan; when none is left, that plan is optimal.  In the cut loop each
-attacker solve takes the least recourse value found so far in the call;
-when no attack falls below it, that value is exact and its attack is the
-worst one.
+The master solve takes a cutoff, the value of the best plan certified so
+far, so it looks only for a better plan; when none is left, that plan is
+optimal.  The cut attacker is one branch-and-cut solve per plan: the
+attacker MILP's lazy hook separates interdiction cuts at its integer nodes
+and values each node at its attack's recourse value, so the search ends on
+the exact attack value and a worst attack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import (
     Attack,
@@ -37,6 +37,7 @@ from .formulations import (
     Encoding,
     RecourseHandle,
     add_interdiction_cut,
+    attack_at,
     build_master,
     build_recourse,
     build_subproblem,
@@ -45,7 +46,7 @@ from .formulations import (
     extract_cut_solution,
     extract_initial_solution,
 )
-from .milp import SolveStatus
+from .milp import GAP_TOL, SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
@@ -87,7 +88,7 @@ class RobustConfig:
 class RobustStats:
     master_iterations: int = 0
     n_attacks: int = 0
-    n_subproblems: int = 0
+    n_subproblems: int = 0  # attacker calls, one per plan, on either method
     bb_nodes: int = 0
     time_total: float = 0.0
     time_stage2: float = 0.0
@@ -128,10 +129,10 @@ def _check(outcome) -> None:
         raise RuntimeError(f"unexpected solve status {outcome.status}")
 
 
-def _beats(outcome, cutoff: Optional[int]) -> bool:
-    """Whether a solve found a solution better than its cutoff; ``False``
-    only when a cutoff left nothing to find."""
-    if cutoff is not None and outcome.status is SolveStatus.INFEASIBLE:
+def _beats(outcome) -> bool:
+    """Whether a solve with a cutoff found a solution better than it;
+    ``False`` only when the cutoff left nothing to find."""
+    if outcome.status is SolveStatus.INFEASIBLE:
         return False
     _check(outcome)
     return True
@@ -144,9 +145,10 @@ def _recourse(
     """Build and solve the recourse model under u, on the stage-3 clock: the
     cut solution, the recourse value and the nodes the solve explored.
 
-    The cut loop builds a new model, solved cold, in every round: solving
-    the lifted recourse warm, or on one model with the hit columns pinned,
-    picks other optimal cut solutions, and the cut search grows."""
+    The cut attacker's hook builds a new model, solved cold, for each attack
+    it meets: solving the lifted recourse warm, or on one model with the hit
+    columns pinned, picks other optimal cut solutions, and the cut search
+    grows."""
     t0 = time.perf_counter()
     rec = build_recourse(initial, u, pool, policy, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
@@ -173,7 +175,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             stats.master_iterations += 1
             outcome = master.model.solve(clock.remaining(), cutoff=best.value)
             stats.bb_nodes += outcome.nodes_explored
-            if not _beats(outcome, best.value):
+            if not _beats(outcome):
                 break  # no plan's master value beats best, so no plan does
             z_bar = outcome.int_objective()
             x_bar = extract_initial_solution(master, outcome)
@@ -212,45 +214,53 @@ def solve_attack_subproblem_cuttingplane(
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
 ) -> Tuple[int, Attack]:
-    """Attack value s(x) and a worst attack by interdiction-cut generation.
+    """Attack value s(x) and a worst attack by interdiction-cut generation in
+    one branch-and-cut tree.
 
-    Each attacker solve takes the least recourse value found so far as its
-    cutoff: when no attack's cut value falls below it, it is s(x), and the
-    attack that gave it is returned as the worst attack.
+    The attacker MILP is solved once.  At each integer node its lazy hook
+    solves the recourse under the node's attack u, once per attack; when the
+    recourse value r exceeds the node's Z, the interdiction cut of the
+    recourse solution joins the model and the node is solved again.  The
+    hook values the node at r either way, so the incumbent is the least
+    recourse value found, and once the search ends it is s(x), with the
+    attack that gave it as the worst attack.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
+    stats.n_subproblems += 1
     sub = build_subproblem(initial, pool, policy, encoding, budget)
     add_interdiction_cut(sub, initial)
     added = {initial}  # the solutions whose cuts the model holds
-    best: Optional[Tuple[int, Attack]] = None  # least recourse value, its attack
-    while True:
-        stats.n_subproblems += 1
-        t0 = time.perf_counter()
-        cutoff = None if best is None else best[0]
-        outcome = sub.model.solve(clock.remaining(), cutoff=cutoff)
-        stats.time_stage2 += time.perf_counter() - t0
-        found = _beats(outcome, cutoff)
-        stats.bb_nodes += outcome.nodes_explored
-        if not found:
-            return best
-        z_sub = outcome.int_objective()
-        u = extract_attack(sub, outcome)
-        cut_sol, r, nodes = _recourse(initial, u, pool, policy, lifting, clock, stats)
-        stats.bb_nodes += nodes
-        if r <= z_sub:
-            return r, u
-        if best is None or r < best[0]:
-            best = r, u
-        if cut_sol in added:
-            # its cut should already hold Z >= r at u; adding it again would
-            # change nothing, and the loop would never end
-            raise RuntimeError(
-                f"cut loop stalled at attack {sorted(u.attacked)}: a repeated cut "
-                f"solution has recourse value {r} above the attacker's {z_sub}"
-            )
-        added.add(cut_sol)
-        add_interdiction_cut(sub, cut_sol)
+    recourses: Dict[Attack, Tuple[KepSolution, int]] = {}  # cut solution, value
+
+    def separate(x) -> int:
+        u = attack_at(sub, x)
+        if u not in recourses:
+            cut_sol, r, nodes = _recourse(initial, u, pool, policy, lifting, clock, stats)
+            stats.bb_nodes += nodes
+            recourses[u] = cut_sol, r
+        cut_sol, r = recourses[u]
+        z = x[sub.z_var]
+        if r > z + GAP_TOL:
+            if cut_sol in added:
+                # its cut should already hold Z >= r at u; adding it again
+                # would change nothing, and the node would never close
+                raise RuntimeError(
+                    f"cut loop stalled at attack {sorted(u.attacked)}: a repeated cut "
+                    f"solution has recourse value {r} above the attacker's {z:g}"
+                )
+            added.add(cut_sol)
+            add_interdiction_cut(sub, cut_sol)
+        return r
+
+    t0, stage3 = time.perf_counter(), stats.time_stage3
+    try:
+        outcome = sub.model.solve(clock.remaining(), lazy=separate)
+    finally:  # the recourse solves inside count on the stage-3 clock
+        stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
+    stats.bb_nodes += outcome.nodes_explored
+    _check(outcome)
+    return outcome.int_objective(), extract_attack(sub, outcome)
 
 
 def solve_attack_subproblem_bb(

@@ -353,6 +353,89 @@ class TestWarmRoot:
         assert cold.objective == warm.objective
 
 
+def violated(rows, x):
+    """The rows (coeffs, relation, rhs) that the 0-1 point x violates."""
+    out = []
+    for coeffs, relation, rhs in rows:
+        lhs = sum(coef * x[var] for var, coef in coeffs)
+        if (relation != GREATER_EQUAL and lhs > rhs + 1e-9) or (
+            relation != LESS_EQUAL and lhs < rhs - 1e-9
+        ):
+            out.append((coeffs, relation, rhs))
+    return out
+
+
+class TestLazy:
+    """``solve(lazy=hook)``: the hook values each integer node solution and
+    may add rows, or columns and rows, after which the node is solved again."""
+
+    def test_held_back_rows(self, lp_path):
+        """Each solve of a model whose hook adds a held-back row only when x
+        violates it matches the solve of the model that holds every row."""
+        rng = random.Random(23)
+        grown = 0
+        for _ in range(40):
+            full, obj, rows = random_model(rng, max_vars=6)
+            m = MilpModel(full.sense)
+            for c in obj:
+                m.add_variable(BINARY, obj=c)
+            held = [row for row in rows if rng.random() < 0.6]
+            for row in rows:
+                if row not in held:
+                    m.add_row(*row)
+            worst = -float("inf") if m.sense == "max" else float("inf")
+
+            def hook(x):
+                cuts = violated(held, x)
+                for row in cuts:
+                    held.remove(row)
+                    m.add_row(*row)
+                return worst if cuts else sum(c * v for c, v in zip(obj, x))
+
+            rows_before = m.num_rows
+            out = m.solve(lazy=hook)
+            grown += m.num_rows > rows_before
+            expected = full.solve()
+            assert out.status is expected.status
+            assert out.objective == expected.objective
+            if out.status is SolveStatus.OPTIMAL:
+                assert out.int_objective() == enumerate_optimum(full, obj, rows)
+        assert grown >= 10  # most models needed a held-back row
+
+    def test_column_and_row(self, lp_path):
+        """max 5a + 4b + 3c: the root point (1, 1, 1) breaks a + b + c <= 2,
+        which the hook adds through a new column d >= a + b - 1 and the row
+        c + d <= 1; the re-solved root is the second node."""
+        m = MilpModel("max")
+        a, b, c = (m.add_variable(BINARY, obj=v) for v in (5, 4, 3))
+        m.add_row([(a, 1), (b, 1), (c, 1)], LESS_EQUAL, 3)
+        seen = []
+
+        def hook(x):
+            seen.append(list(x))
+            if x[a] + x[b] + x[c] <= 2:
+                return 5 * x[a] + 4 * x[b] + 3 * x[c]
+            d = m.add_variable(CONTINUOUS, 0.0, 1.0)
+            m.add_row([(d, 1), (a, -1), (b, -1)], GREATER_EQUAL, -1)
+            m.add_row([(c, 1), (d, 1)], LESS_EQUAL, 1)
+            return -float("inf")
+
+        out = m.solve(lazy=hook)
+        assert out.status is SolveStatus.OPTIMAL
+        assert out.int_objective() == 9
+        assert seen[0] == [1.0, 1.0, 1.0]
+        assert out.nodes_explored == 2
+        assert len(out.assignment) == m.num_variables == 4
+        assert out.assignment[:3] == [1.0, 1.0, 0.0]
+
+    def test_broken_contract_raises(self, lp_path):
+        """A hook that adds nothing must value the point at its objective;
+        the solve raises rather than close the node on another value."""
+        m, _ = knapsack_model()
+        with pytest.raises(RuntimeError, match="lazy hook added nothing"):
+            m.solve(lazy=lambda x: 100)
+
+
 class TestCutoff:
     """``cutoff`` seeds the incumbent value: only strictly better solutions
     are searched, and ``INFEASIBLE`` means none exists."""
