@@ -57,6 +57,7 @@ achieved = brute_force_recourse(
 print(f"recourse after that attack still saves {achieved} planned pairs")
 st = result.stats
 print(
-    f"({st.master_iterations} outer iterations, {st.n_attacks} attacks "
-    f"registered, {st.n_subproblems} attacker calls, {st.time_total:.2f}s)"
+    f"(plans checked by the master tree: {st.master_iterations}, attacks "
+    f"registered: {st.n_attacks}, attacker calls: {st.n_subproblems}, "
+    f"{st.time_total:.2f}s)"
 )

@@ -284,9 +284,9 @@ def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
     return beta_vars
 
 
-def _chosen(outcome: SolveOutcome, var_map: Dict) -> List:
-    """Keys of ``var_map`` whose variables are 1 in ``outcome``."""
-    return [key for key, v in var_map.items() if outcome.value(v) > 0.5]
+def _chosen(x: Sequence[float], var_map: Dict) -> List:
+    """Keys of ``var_map`` whose variables are 1 in the assignment ``x``."""
+    return [key for key, v in var_map.items() if x[v] > 0.5]
 
 
 def _decoded(
@@ -301,10 +301,11 @@ def _decoded(
     return sol
 
 
-def extract_initial_solution(master: MasterHandle, outcome: SolveOutcome) -> KepSolution:
-    """Initial solution encoded by the master's x (and, in PICEF, xi) variables."""
-    selected = _chosen(outcome, master.x_vars)
-    return _decoded(master.pool, selected, _chosen(outcome, master.xi_vars), "master")
+def extract_initial_solution(master: MasterHandle, x: Sequence[float]) -> KepSolution:
+    """Initial solution that an integer master point ``x`` encodes in its x
+    (and, in PICEF, xi) variables."""
+    selected = _chosen(x, master.x_vars)
+    return _decoded(master.pool, selected, _chosen(x, master.xi_vars), "master")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def extract_cut_solution(
     structures, and its true recourse value (the weight of its non-attacked
     part)."""
     pool = rec.pool
-    selected = _chosen(outcome, rec.y_vars) + [e.index for e in rec.enforced]
+    selected = _chosen(outcome.assignment, rec.y_vars) + [e.index for e in rec.enforced]
     sol = _decoded(pool, selected, [], "recourse model")
     value = sum(
         exchange_weight(e, rec.initial_pairs)

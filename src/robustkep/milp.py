@@ -22,7 +22,11 @@ with ``scipy.optimize.linprog`` instead, which is also the reference.
 A solve may take a ``cutoff``, the objective of a solution the caller already
 holds.  It starts as the incumbent value, so nodes that cannot beat it are
 pruned on either LP path, and ``INFEASIBLE`` then means that no solution
-beats the cutoff, not that the model has none.
+beats the cutoff, not that the model has none.  On the warm path each node
+LP gets the prune threshold, the incumbent value less the improvement a
+solution must bring, as HiGHS's ``objective_bound``: the dual simplex stops
+once its objective shows that the node cannot beat the threshold, and the
+node is closed as pruned.  The ``linprog`` path prunes after the LP.
 
 A solve may also take a ``lazy`` hook, called at each node whose LP solution
 is integral, for constraints too many to state up front.  The hook returns
@@ -35,10 +39,23 @@ stay a bound on the true objective of the integer points in the node, so
 additions may only tighten the relaxation; nodes pruned before them then
 stay validly pruned.  A point that violates what the hook adds may be valued at
 the worst objective (``-inf`` under ``max``, ``inf`` under ``min``), so it
-never becomes the incumbent.  A hook that adds nothing must value the point
-at its objective, which is the node's LP bound: the node is closed on that
-value, and on any other its other integer points would be skipped or
-misjudged, so the solve raises.
+never becomes the incumbent.  A hook that adds nothing closes the node, whose
+LP bound is the point's objective.  It must not value the point below that
+objective, or the node's other integer points would be skipped unexamined,
+so the solve raises.  It may value the point above it: the point can stand
+for a solution worth more than the node lets it show, as a branch-and-check
+master's plan does when branching fixed some of its recourse binaries to 0.
+That value becomes the incumbent, and nothing left in the node can beat it.
+A hook that returns ``None``, having run out of time before it could value
+the point, ends the solve as a time limit does, with the node left open.
+
+When a hook grows the model at a node other than the root, the solve first
+checks the grown root: it solves the root LP of the grown model, counted as
+a node, and when that bound cannot beat the incumbent no open node can, so
+the search ends.  A tree whose hook keeps adding blocks, such as a
+branch-and-check master, so closes its stale nodes at once instead of one at
+a time.  Until the check runs it holds the least open bound, so a solve its
+time limit ends there still reports a valid ``best_bound``.
 """
 
 from __future__ import annotations
@@ -197,7 +214,7 @@ class MilpModel:
         self,
         time_limit: Optional[float] = None,
         cutoff: Optional[float] = None,
-        lazy: Optional[Callable[[np.ndarray], float]] = None,
+        lazy: Optional[Callable[[np.ndarray], Optional[float]]] = None,
     ) -> SolveOutcome:
         """Exact optimum via depth-first branch and bound.
 
@@ -213,9 +230,10 @@ class MilpModel:
         the cutoff.  The best bound then counts the cutoff as an incumbent.
 
         ``lazy(x)`` is called with each integer node solution and returns its
-        true objective (see the module docstring).  The incumbent is then the
-        point the hook valued best, with that value as the objective; its
-        assignment is padded with the lower bounds of columns added later.
+        true objective, or ``None`` to stop (see the module docstring).  The
+        incumbent is then the point the hook valued best, with that value as
+        the objective; its assignment is padded with the lower bounds of
+        columns added later.
         """
         start = time.perf_counter()
         sign = -1.0 if self.sense == "max" else 1.0
@@ -239,8 +257,9 @@ class MilpModel:
         nodes = 0
         lp_iters = 0
 
-        # stack entries: (bound overrides, parent LP bound)
-        stack: List[Tuple[Dict[int, float], float]] = [({}, -np.inf)]
+        # stack entries: (bound overrides, parent LP bound); overrides None
+        # marks a root check, whose bound is the least open bound
+        stack: List[Tuple[Optional[Dict[int, float]], float]] = [({}, -np.inf)]
 
         while stack:
             if time_limit is not None and time.perf_counter() - start > time_limit:
@@ -251,12 +270,16 @@ class MilpModel:
             nodes += 1
             lb = base_lb.copy()
             ub = base_ub.copy()
-            for var, val in overrides.items():
+            for var, val in (overrides or {}).items():
                 lb[var] = val
                 ub[var] = val
-            bound, x, iters = solve_lp(lb, ub)
+            bound, x, iters = solve_lp(lb, ub, incumbent_val - improvement)
             lp_iters += iters
-            if x is None:  # infeasible node
+            if overrides is None:  # a root check: close every node or none
+                if x is None or bound >= incumbent_val - improvement:
+                    stack.clear()
+                continue
+            if x is None:  # infeasible, or stopped at the prune threshold
                 continue
             if bound >= incumbent_val - improvement:
                 continue
@@ -278,12 +301,16 @@ class MilpModel:
                 grew = False
                 if lazy is not None:
                     size = self.num_variables, self.num_rows
-                    value = sign * lazy(sol)
+                    value = lazy(sol)
+                    if value is None:  # the hook ran out of time
+                        stack.append((overrides, bound))
+                        break
+                    value *= sign
                     grew = (self.num_variables, self.num_rows) != size
-                    if not grew and abs(value - val) > GAP_TOL:
+                    if not grew and value > val + GAP_TOL:
                         raise RuntimeError(
                             f"lazy hook added nothing but valued an integer point "
-                            f"at {sign * value}, not at its objective {sign * val}"
+                            f"at {sign * value}, worse than its objective {sign * val}"
                         )
                     val = value
                 if val < incumbent_val:
@@ -293,6 +320,8 @@ class MilpModel:
                     c, base_lb, base_ub, binaries = self._column_arrays()
                     solve_lp = node_lp(c, self, resume=True)
                     stack.append((overrides, bound))
+                    if overrides:  # but first check the grown root
+                        stack.append((None, min(pb for _, pb in stack)))
                 continue
             one_first = c[frac_var] <= 0  # coefficient rewards value 1
             children = [
@@ -323,8 +352,9 @@ class MilpModel:
 #
 # A node LP solver is made once per solve from the objective and the rows,
 # and made again with ``resume`` when a lazy hook grew the model; it is called
-# with one node's column bounds and returns (objective, x, simplex
-# iterations), with x None when the node is infeasible.
+# with one node's column bounds and the prune threshold, and returns
+# (objective, x, simplex iterations), with x None when the node is infeasible
+# or its LP stopped at the threshold.
 
 
 def _warm_node_lp(c, model, resume=False):
@@ -333,7 +363,9 @@ def _warm_node_lp(c, model, resume=False):
     starts from ``model.start_basis`` when there is one, else cold, and an
     optimal root leaves its final basis in ``model.root_basis``.  ``resume``
     appends what the model gained in the solve and keeps the basis, with the
-    new rows basic."""
+    new rows basic.  The prune threshold is HiGHS's ``objective_bound``, so
+    the dual simplex stops once its objective shows the node cannot beat
+    it."""
     n = len(c)
     highs = _live_lp(c, model)
     if not resume:
@@ -341,11 +373,16 @@ def _warm_node_lp(c, model, resume=False):
             highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
         else:
             highs.clearSolver()
+    threshold = np.inf  # the LP outlives the solve, so clear its last threshold
+    highs.setOptionValue("objective_bound", threshold)
     cols = np.arange(n, dtype=np.int32)
     root = not resume
 
-    def solve_node(lb, ub):
-        nonlocal root
+    def solve_node(lb, ub, prune_at):
+        nonlocal root, threshold
+        if prune_at != threshold:
+            threshold = prune_at
+            highs.setOptionValue("objective_bound", threshold)
         highs.changeColsBounds(n, cols, lb, ub)
         highs.run()
         status = highs.getModelStatus()
@@ -360,7 +397,9 @@ def _warm_node_lp(c, model, resume=False):
         if optimal:
             x = np.array(highs.getSolution().col_value)
             return info.objective_function_value, x, iters
-        if status == _highs.HighsModelStatus.kInfeasible:
+        if status in (
+            _highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kObjectiveBound
+        ):
             return None, None, iters
         raise RuntimeError(
             f"LP solve failed with status {highs.modelStatusToString(status)}"
@@ -423,7 +462,8 @@ def _grown_basis(basis, num_cols, num_rows):
 
 def _cold_node_lp(c, model, resume=False):
     """Node LPs by one cold ``linprog`` call each; the reference path, which
-    builds its matrices afresh whether or not it ``resume``s a solve."""
+    builds its matrices afresh whether or not it ``resume``s a solve, and
+    ignores the prune threshold: the solve prunes after the LP."""
     shape = (model.num_rows, len(c))
     a = csr_matrix((model.data, model.indices, model.indptr), shape=shape)
     row_lo, row_hi = np.array(model.row_lo), np.array(model.row_hi)
@@ -435,7 +475,7 @@ def _cold_node_lp(c, model, resume=False):
     b_ub = np.where(flip > 0, row_hi[ineq], -row_lo[ineq])
     a_eq, b_eq = a[eq], row_lo[eq]
 
-    def solve_node(lb, ub):
+    def solve_node(lb, ub, prune_at):
         res = linprog(
             c,
             A_ub=a_ub,

@@ -1,18 +1,21 @@
 """Solution procedures for the trilevel robust kidney exchange problem.
 
-The outer loop is column-and-constraint generation: the restricted master
-optimizes the initial solution against a growing set of attacks, and the
-attacker-side subproblem finds the worst attack on the master's plan, whose
-block the master then takes.  Two subproblem methods are provided
+The robust solve is column-and-constraint generation run as branch and
+check: the restricted master optimizes the initial solution against a
+growing set of attacks in one branch-and-bound tree, and at each integer
+node its lazy hook has the attacker-side subproblem find the worst attack on
+the node's plan, whose block the master takes when the attack leaves less
+than the master promised.  Two subproblem methods are provided
 (interdiction-cut generation and a combinatorial branch-and-bound), plus
 exhaustive brute-force oracles used for verification.
 
-The master solve takes a cutoff, the value of the best plan certified so
-far, so it looks only for a better plan; when none is left, that plan is
-optimal.  The cut attacker is one branch-and-cut solve per plan: the
-attacker MILP's lazy hook separates interdiction cuts at its integer nodes
-and values each node at its attack's recourse value, so the search ends on
-the exact attack value and a worst attack.
+The master solve takes a cutoff, the value of the empty plan, and the
+incumbent then follows the best plan certified so far, so the tree looks
+only for better plans; when it ends, the best plan is optimal.  The cut
+attacker is one branch-and-cut solve per plan: the attacker MILP's lazy
+hook separates interdiction cuts at its integer nodes and values each node
+at its attack's recourse value, so the search ends on the exact attack
+value and a worst attack.
 """
 
 from __future__ import annotations
@@ -86,9 +89,11 @@ class RobustConfig:
 
 @dataclass
 class RobustStats:
+    # plans the master tree checked at its integer nodes, one per attacker call
     master_iterations: int = 0
-    n_attacks: int = 0
+    n_attacks: int = 0  # attack blocks the master took, not its seed block
     n_subproblems: int = 0  # attacker calls, one per plan, on either method
+    # master, cut attacker and cut recourse MILP nodes, and bb search nodes
     bb_nodes: int = 0
     time_total: float = 0.0
     time_stage2: float = 0.0
@@ -129,15 +134,6 @@ def _check(outcome) -> None:
         raise RuntimeError(f"unexpected solve status {outcome.status}")
 
 
-def _beats(outcome) -> bool:
-    """Whether a solve with a cutoff found a solution better than it;
-    ``False`` only when the cutoff left nothing to find."""
-    if outcome.status is SolveStatus.INFEASIBLE:
-        return False
-    _check(outcome)
-    return True
-
-
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
     lifted: bool, clock: _Clock, stats: RobustStats,
@@ -161,8 +157,18 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     """Optimal initial solution maximizing the worst-case recourse value.
 
     ``best`` holds the best plan certified so far, with its exact value and
-    worst attack; the empty plan, worth 0 under any attack, starts it.  A
-    time limit returns it as it stands.
+    worst attack; the empty plan, worth 0 under any attack, starts it.  The
+    master is solved once, with ``best``'s value as its cutoff, by branch and
+    check: at each integer node, plan x̄ with master value z̄, the lazy hook
+    runs the attacker, which gives s(x̄) and a worst attack u*.  A better s
+    makes x̄ ``best``; s < z̄ adds u*'s block, which holds x̄'s exact recourse,
+    so the node is solved again with x̄ worth at most s.  Otherwise the node
+    closes: s > z̄ happens where branching fixed block binaries that x̄'s
+    recourse needs, and then no master point left in the node beats z̄ < s.
+    Blocks only lower master values, and each stays at least s(x) for every
+    plan x, so a search that ends leaves no plan better than ``best``.  A
+    time limit, the master's or one an attacker call meets, returns ``best``
+    as it stands, with the master's nodes counted.
     """
     clock = _Clock(cfg.time_limit)  # the limit and time_total include enumeration
     pool = build_pool(graph, cfg.max_cycle_len, cfg.max_chain_len)
@@ -170,15 +176,12 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     no_attack = Attack.of((), cfg.budget)
     master = build_master(pool, cfg.policy, cfg.encoding, [no_attack])
     best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
-    try:
-        while True:
-            stats.master_iterations += 1
-            outcome = master.model.solve(clock.remaining(), cutoff=best.value)
-            stats.bb_nodes += outcome.nodes_explored
-            if not _beats(outcome):
-                break  # no plan's master value beats best, so no plan does
-            z_bar = outcome.int_objective()
-            x_bar = extract_initial_solution(master, outcome)
+
+    def check(x) -> Optional[int]:
+        nonlocal best
+        stats.master_iterations += 1
+        x_bar = extract_initial_solution(master, x)
+        try:
             if cfg.subproblem_method == METHOD_CUT:
                 s_val, u_star = solve_attack_subproblem_cuttingplane(
                     x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
@@ -188,14 +191,19 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
                 s_val, u_star = solve_attack_subproblem_bb(
                     x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats,
                 )
-            if s_val > best.value:
-                best = RobustResult(s_val, x_bar, u_star, "timelimit", stats)
-            if s_val == z_bar:
-                break  # x_bar meets the master's bound
-            # u_star's block holds x_bar's exact recourse, so x_bar has value
-            # s_val <= best.value in the next master, which will not return it
+        except TimeBudgetExceeded:
+            return None  # the master stops as on its own limit, its nodes counted
+        if s_val > best.value:
+            best = RobustResult(s_val, x_bar, u_star, "timelimit", stats)
+        if s_val < round(x[master.z_var]):
             extend_master_with_attack(master, u_star)
-        best.status = "optimal"
+        return s_val
+
+    try:
+        outcome = master.model.solve(clock.remaining(), cutoff=best.value, lazy=check)
+        stats.bb_nodes += outcome.nodes_explored
+        if outcome.status is not SolveStatus.TIME_LIMIT:
+            best.status = "optimal"
     except TimeBudgetExceeded:
         pass
     stats.n_attacks = len(master.blocks) - 1  # not the seed block

@@ -88,7 +88,7 @@ class TestMaster:
         )
         out = master.model.solve()
         assert out.int_objective() == 3
-        sol = extract_initial_solution(master, out)
+        sol = extract_initial_solution(master, out.assignment)
         assert sol.initial_pairs(pool) == {0, 1, 2}
 
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -363,13 +363,13 @@ class TestPicefIndexOnFirstUse:
         pool = build_pool(graph, 3, 3)
         assert pool.cycles and pool.chains
         master = build_master(pool, policy, Encoding.CC, [Attack.of((), 1)])
-        x = extract_initial_solution(master, master.model.solve())
+        x = extract_initial_solution(master, master.model.solve().assignment)
         # cut the plan's longest chain after its first arc: FSE keeps that arc
         chains = [e for e in x.exchanges(pool) if e.kind is ExchangeKind.CHAIN]
         chain = max(chains, key=lambda e: len(e.vertices))
         u = Attack.of([chain.vertices[2]], 1)
         extend_master_with_attack(master, u)
-        extract_initial_solution(master, master.model.solve())
+        extract_initial_solution(master, master.model.solve().assignment)
         sub = build_subproblem(x, pool, policy, Encoding.CC, 1)
         add_interdiction_cut(sub, x)
         sub.model.solve()
@@ -393,7 +393,7 @@ class TestWarmMaster:
         policy, encoding = Policy.FULL_RECOURSE, Encoding.PICEF
         attacks = [Attack.of((), 2)]
         master = build_master(pool, policy, encoding, attacks)
-        x = extract_initial_solution(master, master.model.solve())
+        x = extract_initial_solution(master, master.model.solve().assignment)
         attacks.append(Attack.of(sorted(x.vertices(pool))[:2], 2))
         extend_master_with_attack(master, attacks[-1])
         grown = master.model.solve()

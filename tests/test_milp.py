@@ -115,6 +115,23 @@ def random_model(rng, max_vars=15):
     return m, obj, rows
 
 
+def random_knapsack(rng, n):
+    """max of positive weights over one to three random <= rows that each
+    hold half their coefficient sum: the dual simplex of a node LP in such
+    models often stops at the prune threshold, where ``random_model``'s
+    rarely do."""
+    m = MilpModel("max")
+    obj = [rng.randint(1, 9) for _ in range(n)]
+    for c in obj:
+        m.add_variable(BINARY, obj=c)
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [(v, rng.randint(1, 6)) for v in range(n)]
+        rows.append((coeffs, LESS_EQUAL, sum(c for _, c in coeffs) // 2))
+        m.add_row(*rows[-1])
+    return m, obj, rows
+
+
 def enumerate_optimum(m, obj, rows):
     """Best objective over the 0-1 points within the model's column bounds."""
     best = None
@@ -353,6 +370,29 @@ class TestWarmRoot:
         assert cold.objective == warm.objective
 
 
+def root_check_model():
+    """max z over z <= 2(a + b + c) and 2(a + b + c) <= 3, its rows, the row
+    z <= a + b + c held back, and a lazy hook that adds that row when a point
+    violates it.  The first integer node, at depth two, is worth 1 under the
+    row, and the grown root's bound 1.5 cannot beat that by a whole unit."""
+    m = MilpModel("max", integral_objective=True)
+    z = m.add_variable(CONTINUOUS, 0, 10, obj=1)
+    xs = [m.add_variable(BINARY) for _ in range(3)]
+    rows = [([(z, 1)] + [(v, -2) for v in xs], LESS_EQUAL, 0),
+            ([(v, 2) for v in xs], LESS_EQUAL, 3)]
+    for row in rows:
+        m.add_row(*row)
+    held = ([(z, 1)] + [(v, -1) for v in xs], LESS_EQUAL, 0)
+
+    def hook(x):
+        value = min(x[z], sum(x[v] for v in xs))
+        if value < x[z]:
+            m.add_row(*held)
+        return value
+
+    return m, rows, held, hook
+
+
 def violated(rows, x):
     """The rows (coeffs, relation, rhs) that the 0-1 point x violates."""
     out = []
@@ -428,12 +468,80 @@ class TestLazy:
         assert len(out.assignment) == m.num_variables == 4
         assert out.assignment[:3] == [1.0, 1.0, 0.0]
 
+    def test_root_check_ends_search(self, lp_path, monkeypatch):
+        """The first integer node of ``root_check_model`` grows the model, and
+        the root check that follows closes every open node, the grown node
+        included, so the search ends."""
+        lps = []  # per node LP: (after growth, at the root's bounds)
+        for name in ("_warm_node_lp", "_cold_node_lp"):
+
+            def spy(c, model, resume=False, real=getattr(milp, name)):
+                solve_node = real(c, model, resume)
+
+                def node(lb, ub, prune_at):
+                    lps.append((resume, list(lb) == model.lb and list(ub) == model.ub))
+                    return solve_node(lb, ub, prune_at)
+
+                return node
+
+            monkeypatch.setattr(milp, name, spy)
+        m, rows, held, hook = root_check_model()
+        out = m.solve(lazy=hook)
+        assert lps[0] == (False, True) and (True, True) not in lps[:-1]
+        assert lps[-1] == (True, True)  # the grown node was never solved again
+        assert out.nodes_explored == len(lps) > 3
+        full = root_check_model()[0]
+        full.add_row(*held)
+        assert out.status is SolveStatus.OPTIMAL is full.solve().status
+        assert out.int_objective() == full.solve().int_objective() == 1
+        assert enumerate_optimum(full, [1, 0, 0, 0], rows + [held]) == 1
+
+    def test_interrupted_root_check_keeps_a_bound(self, lp_path, ticking_clock):
+        """A limit that ends the solve before its pending root check returns
+        the incumbent and a finite best bound, between the incumbent's value
+        and the first root's bound of 3."""
+        m, _, _, hook = root_check_model()
+        nodes = m.solve(lazy=hook).nodes_explored - 1  # all but the root check
+        m, _, _, hook = root_check_model()
+        out = m.solve(nodes + 0.5, lazy=hook)
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.nodes_explored == nodes
+        assert out.int_objective() == 1
+        assert 1 <= out.best_bound <= 3
+
     def test_broken_contract_raises(self, lp_path):
-        """A hook that adds nothing must value the point at its objective;
-        the solve raises rather than close the node on another value."""
+        """A hook that adds nothing must not value the point below its
+        objective; the solve raises rather than close the node on it."""
         m, _ = knapsack_model()
         with pytest.raises(RuntimeError, match="lazy hook added nothing"):
-            m.solve(lazy=lambda x: 100)
+            m.solve(lazy=lambda x: -100)
+
+    def test_value_above_objective_closes_node(self, lp_path):
+        """A hook that adds nothing may value the point above its objective:
+        the first integer point, worth 10 more, becomes the incumbent, and
+        no node can beat it, since the root's bound is 9 1/3."""
+        m, _ = knapsack_model()
+        seen = []
+
+        def hook(x):
+            value = 5 * x[0] + 4 * x[1] + 3 * x[2]
+            seen.append(list(x))
+            return value + 10 if len(seen) == 1 else value
+
+        out = m.solve(lazy=hook)
+        assert out.status is SolveStatus.OPTIMAL
+        assert len(seen) == 1
+        assert out.assignment == seen[0]
+        assert out.objective == 5 * seen[0][0] + 4 * seen[0][1] + 3 * seen[0][2] + 10
+
+    def test_hook_returning_none_stops_solve(self, lp_path):
+        """A hook that returns ``None`` ends the solve as a time limit does:
+        its node stays open, so the best bound stays finite."""
+        m, _ = knapsack_model()
+        out = m.solve(lazy=lambda x: None)
+        assert out.status is SolveStatus.TIME_LIMIT
+        assert out.objective is None
+        assert 8 <= out.best_bound < float("inf")
 
 
 class TestCutoff:
@@ -483,6 +591,41 @@ class TestCutoff:
         model = TestTimeLimit().model
         assert model().solve(cutoff=19).int_objective() == 20
         assert model().solve(cutoff=20).status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_node_lps_stop_at_the_threshold(self, monkeypatch, integral):
+        """On the warm path a node LP stops once its dual objective shows it
+        cannot beat the prune threshold; status and objective stay those of
+        the ``linprog`` path, which prunes after the LP."""
+        if milp._highs is None:
+            pytest.skip("scipy's HiGHS binding is not importable")
+        stopped = []
+        real = milp._warm_node_lp
+
+        def spy(c, model, resume=False):
+            solve_node = real(c, model, resume)
+
+            def node(lb, ub, prune_at):
+                result = solve_node(lb, ub, prune_at)
+                status = model._lp.getModelStatus()
+                stopped.append(status == milp._highs.HighsModelStatus.kObjectiveBound)
+                return result
+
+            return node
+
+        monkeypatch.setattr(milp, "_warm_node_lp", spy)
+        rng = random.Random(29)
+        for _ in range(20):
+            m, obj, rows = random_knapsack(rng, 8)
+            m.integral_objective = integral
+            expected = enumerate_optimum(m, obj, rows)
+            for cutoff in (expected - 1, expected, expected + 1):
+                warm = m.solve(cutoff=cutoff)
+                with monkeypatch.context() as cold_path:
+                    cold_path.setattr(milp, "_highs", None)
+                    cold = m.solve(cutoff=cutoff)
+                assert (warm.status, warm.objective) == (cold.status, cold.objective)
+        assert any(stopped), "no node LP stopped at the threshold"
 
     def test_repeated_solves_are_identical(self, lp_path):
         rng = random.Random(19)

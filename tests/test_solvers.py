@@ -102,21 +102,132 @@ class TestSolveRobust:
         assert solve_robust(g, cfg).status == "timelimit"
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
-    def test_attacks_count_only_added_blocks(self, method):
-        """Every master but the last takes one attack block; the seed block
-        of the empty attack is no attack."""
-        attacked = 0
-        for seed in range(3):
-            for encoding in ALL_ENCODINGS:
-                cfg = RobustConfig(3, 3, 2, encoding=encoding, subproblem_method=method)
-                st = solve_robust(small_instance(seed), cfg).stats
-                assert st.n_attacks == st.master_iterations - 1
-                attacked += st.n_attacks
-        assert attacked > 0
+    def test_attacks_count_only_added_blocks(self, monkeypatch, method):
+        """Each plan the master tree checks takes one attack block exactly
+        when its attack value s falls below its master value z̄; the seed
+        block of the empty attack is no attack."""
+        masters, checks = [], []
+        real_build, real_solve = solvers.build_master, milp.MilpModel.solve
+
+        def build_master(*args, **kwargs):
+            masters.append(real_build(*args, **kwargs))
+            return masters[-1]
+
+        def solve(model, time_limit=None, lazy=None, **kwargs):
+            master = masters[-1] if masters and masters[-1].model is model else None
+
+            def checking(x):
+                blocks = len(master.blocks)
+                s = lazy(x)
+                checks.append((s < round(x[master.z_var]), len(master.blocks) - blocks))
+                return s
+
+            hook = checking if master is not None else lazy
+            return real_solve(model, time_limit, lazy=hook, **kwargs)
+
+        monkeypatch.setattr(solvers, "build_master", build_master)
+        monkeypatch.setattr(milp.MilpModel, "solve", solve)
+        seen = []
+        for seed, budget, encoding in itertools.product(range(3), (1, 2), ALL_ENCODINGS):
+            checks.clear()
+            cfg = RobustConfig(3, 3, budget, encoding=encoding, subproblem_method=method)
+            st = solve_robust(small_instance(seed), cfg).stats
+            assert st.master_iterations == len(checks)
+            assert all(added == below for below, added in checks)
+            assert st.n_attacks == sum(added for _, added in checks)
+            seen += checks
+        assert {below for below, _ in seen} == {True, False}  # both cases met
         cfg = RobustConfig(3, 3, 2, subproblem_method=method, time_limit=1e-6)
         result = solve_robust(small_instance(0), cfg)
         assert result.status == "timelimit"
+        assert (result.stats.master_iterations, result.stats.n_attacks) == (0, 0)
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_plan_worth_more_than_its_node(self, monkeypatch, method):
+        """At a master node where branching fixed block binaries to 0, a
+        plan can be worth more than its master value z̄ there.  This master
+        starts as such a node: it must take all three 2-cycles, and its seed
+        block may cover only the third, so z̄ = 2, while under B = 1 the plan
+        keeps two cycles, s = 4.  The check certifies the plan at 4 and adds
+        no block, which closes the node."""
+        graph = CompatibilityGraph(6, 0, ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)))
+        real_build = solvers.build_master
+        z_bars = []
+
+        def build_master(*args, **kwargs):
+            master = real_build(*args, **kwargs)
+            model = master.model
+            for x in master.x_vars.values():
+                model.set_bounds(x, 1, 1)
+            first = max(master.x_vars.values()) + 1
+            y = [v for v in range(first, model.num_variables) if model.kinds[v] == milp.BINARY]
+            for v in y[:2]:  # the seed block's y of the cycles (0, 1) and (2, 3)
+                model.set_bounds(v, 0, 0)
+            real_solve = model.solve
+
+            def solve(time_limit=None, cutoff=None, lazy=None):
+                def hook(x):
+                    z_bars.append(round(x[master.z_var]))
+                    return lazy(x)
+                return real_solve(time_limit, cutoff=cutoff, lazy=hook)
+
+            model.solve = solve
+            return master
+
+        monkeypatch.setattr(solvers, "build_master", build_master)
+        result = solve_robust(graph, RobustConfig(2, 0, 1, subproblem_method=method))
+        assert z_bars == [2]
+        assert (result.status, result.value) == ("optimal", 4)
         assert (result.stats.master_iterations, result.stats.n_attacks) == (1, 0)
+        pool = build_pool(graph, 2, 0)
+        assert len(result.initial.exchanges(pool)) == 3
+        replay = brute_force_recourse(
+            result.initial, result.worst_attack, pool, graph, Policy.FULL_RECOURSE
+        )
+        assert replay == 4
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_attacker_time_limit_keeps_master_nodes(self, monkeypatch, method):
+        """A time limit met inside an attacker call ends the master's solve
+        as its own limit would: the solve returns the plan certified so far,
+        and the master's nodes count in ``bb_nodes``."""
+        masters, outcomes = [], []
+        real_build, real_solve = solvers.build_master, milp.MilpModel.solve
+        name = {"cut": "solve_attack_subproblem_cuttingplane",
+                "bb": "solve_attack_subproblem_bb"}[method]
+        real_attack, calls = getattr(solvers, name), itertools.count(1)
+
+        def build_master(*args, **kwargs):
+            masters.append(real_build(*args, **kwargs))
+            return masters[-1]
+
+        def solve(model, *args, **kwargs):
+            out = real_solve(model, *args, **kwargs)
+            if model is masters[-1].model:
+                outcomes.append(out)
+            return out
+
+        def attack(*args, **kwargs):
+            if next(calls) == 2:
+                raise solvers.TimeBudgetExceeded
+            return real_attack(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "build_master", build_master)
+        monkeypatch.setattr(milp.MilpModel, "solve", solve)
+        monkeypatch.setattr(solvers, name, attack)
+        g = small_instance(1)  # three plans checked when untimed
+        result = solve_robust(g, RobustConfig(3, 3, 1, subproblem_method=method))
+        assert result.status == "timelimit"
+        assert result.stats.master_iterations == 2
+        [outcome] = outcomes
+        assert outcome.status is milp.SolveStatus.TIME_LIMIT
+        assert 0 < outcome.nodes_explored <= result.stats.bb_nodes
+        assert result.value <= outcome.best_bound < float("inf")
+        replay = brute_force_recourse(
+            result.initial, result.worst_attack, build_pool(g, 3, 3), g,
+            Policy.FULL_RECOURSE,
+        )
+        assert replay == result.value
 
     def test_bad_method_rejected(self):
         for method in ("simplex", "oracle"):
@@ -165,20 +276,26 @@ class TestSolveRobust:
     @pytest.mark.parametrize("stop_at", [1, 2, 3, "after-block"])
     def test_model_time_limit_ends_solve(self, monkeypatch, method, stop_at):
         """The model solve numbered ``stop_at`` (master, then attacker or
-        recourse) hits its limit on a clock that ticks once per reading;
-        "after-block" stops the first master re-solve after an attack, so
-        the solve returns the plan that the attacker certified."""
+        recourse) hits its limit on a clock that ticks once per reading.
+        "after-block" gives the master a limit on a clock that moves only
+        when the master takes an attack block, so the limit fires at the
+        master's first node after its first block, and the solve returns
+        the plan that the attacker certified."""
         ticks = itertools.count()
-        clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
-        monkeypatch.setattr(milp, "time", clock)
+        blocks = []
+
+        def now():
+            return float(len(blocks) if stop_at == "after-block" else next(ticks))
+
+        monkeypatch.setattr(milp, "time", types.SimpleNamespace(perf_counter=now))
         real_solve = milp.MilpModel.solve
         real_extend = solvers.extend_master_with_attack
         calls = itertools.count(1)
-        blocks = []
 
         def solve(model, time_limit=None, **kwargs):
-            if next(calls) == stop_at or (stop_at == "after-block" and blocks):
-                time_limit = 0.5  # stops before the root node
+            n = next(calls)
+            if n == stop_at or (stop_at == "after-block" and n == 1):
+                time_limit = 0.5  # stops before the root node, or after a block
             return real_solve(model, time_limit, **kwargs)
 
         def extend(master, u):
@@ -196,6 +313,7 @@ class TestSolveRobust:
         )
         assert replay == result.value
         if stop_at == "after-block":
+            assert len(blocks) == result.stats.n_attacks == 1
             assert result.value > 0 and result.exchanges
 
 
@@ -211,10 +329,12 @@ def robust_optimum(seed, policy, budget):
 @pytest.fixture
 def cutoff_paths(monkeypatch):
     """Counts the solves that a cutoff ended ``INFEASIBLE``, by model sense:
-    "max" is a master that finds no plan better than the best certified one
-    (the attacker and recourse models take no cutoff).  "resolved" counts
+    "max" is a master tree that finds no plan better than the empty plan,
+    its cutoff, which happens exactly when the robust value is 0 (the
+    attacker and recourse models take no cutoff).  "resolved" counts
     the attacker nodes whose lazy hook added a cut, which ``MilpModel.solve``
-    then solves again."""
+    then solves again; the master ("max") nodes that took a block are not
+    counted."""
     taken = collections.Counter()
     real_solve = milp.MilpModel.solve
 
@@ -222,7 +342,7 @@ def cutoff_paths(monkeypatch):
         def counting(x):
             rows = model.num_rows
             value = lazy(x)
-            taken["resolved"] += model.num_rows > rows
+            taken["resolved"] += model.sense == "min" and model.num_rows > rows
             return value
 
         hook = None if lazy is None else counting
@@ -236,14 +356,16 @@ def cutoff_paths(monkeypatch):
 
 
 class TestCutoffPaths:
-    """The master takes a cutoff and the cut attacker a lazy hook; the paths
-    where the cutoff leaves nothing to find, and where the hook cuts a node
-    and solves it again, keep values and certificates."""
+    """The master takes a cutoff and both the master and the cut attacker a
+    lazy hook; the paths where the cutoff leaves nothing to find, and where
+    the attacker's hook cuts a node and solves it again, keep values and
+    certificates."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_paths_taken_and_values_exact(self, cutoff_paths, method, encoding, policy):
+        zero_cells = 0
         for seed in range(12):
             g = small_instance(seed)
             pool = build_pool(g, 3, 3)
@@ -254,7 +376,8 @@ class TestCutoffPaths:
                 assert r.value == robust_optimum(seed, policy, budget)
                 replay = brute_force_recourse(r.initial, r.worst_attack, pool, g, policy)
                 assert replay == r.value
-        assert cutoff_paths["max"] >= 1, "no master found nothing better"
+                zero_cells += r.value == 0
+        assert cutoff_paths["max"] == zero_cells >= 1, "no cell of robust value 0"
         if method == "cut":
             assert cutoff_paths["resolved"] >= 1, "no attacker node was cut and re-solved"
 
@@ -262,9 +385,9 @@ class TestCutoffPaths:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_one_attacker_call_per_plan(self, monkeypatch, method, encoding, policy):
-        """Each master solve that beats its cutoff returns a plan no earlier
-        master returned, and that plan is attacked once."""
-        attacked, masters, beaten = [], [], []
+        """A robust solve makes one master solve, with the empty plan's
+        value 0 as its cutoff, and attacks no plan twice."""
+        attacked, masters, cutoffs = [], [], []
         real_build, real_solve = solvers.build_master, milp.MilpModel.solve
 
         def build_master(*args, **kwargs):
@@ -273,10 +396,9 @@ class TestCutoffPaths:
             return handle
 
         def solve(model, time_limit=None, cutoff=None, **kwargs):
-            out = real_solve(model, time_limit, cutoff=cutoff, **kwargs)
-            if model in masters and out.status is milp.SolveStatus.OPTIMAL:
-                beaten.append(cutoff)
-            return out
+            if model in masters:
+                cutoffs.append(cutoff)
+            return real_solve(model, time_limit, cutoff=cutoff, **kwargs)
 
         def recording(real):
             def attack(initial, *args, **kwargs):
@@ -290,13 +412,14 @@ class TestCutoffPaths:
             monkeypatch.setattr(solvers, name, recording(getattr(solvers, name)))
         for seed in range(12):
             for budget in (1, 2):
-                for seen in (attacked, masters, beaten):
+                for seen in (attacked, masters, cutoffs):
                     seen.clear()
                 cfg = RobustConfig(3, 3, budget, policy, encoding, method)
-                assert solve_robust(small_instance(seed), cfg).status == "optimal"
+                result = solve_robust(small_instance(seed), cfg)
+                assert result.status == "optimal"
+                assert cutoffs == [0]
                 assert len(set(attacked)) == len(attacked), "a plan was attacked twice"
-                assert len(attacked) == len(beaten)
-                assert None not in beaten  # every master solve has a cutoff
+                assert len(attacked) == result.stats.master_iterations > 0
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_cold_path_agrees(self, monkeypatch, cutoff_paths, method):
