@@ -10,14 +10,14 @@ bound per row), and can be appended between solves (lazy cuts);
 The model owns one HiGHS LP: its first solve passes the model, and later
 solves append the columns and rows added since (``addCols``/``addRows``).
 Nodes change only column bounds, so the dual simplex restarts from the basis
-the previous node left.  After the model grew or had its bounds set, the
-root starts from the basis the last optimal root ended in, padded with any
-new columns at their lower bound and new rows basic; otherwise it starts
-cold, from a cleared solver.  Solves stay reproducible: that start basis
-changes only with the model, and the node order is fixed, so re-solving an
-unchanged model replays the same solve, LP iterations included.  When
-scipy's private HiGHS binding cannot be imported, every node is solved cold
-with ``scipy.optimize.linprog`` instead, which is also the reference.
+the previous node left.  After ``set_bounds`` the root starts from the basis
+the last optimal root ended in; otherwise, and always after the model grew,
+it starts cold, from a cleared solver.  Solves stay reproducible: that start
+basis changes only with the model, and the node order is fixed, so
+re-solving an unchanged model replays the same solve, LP iterations
+included.  When scipy's private HiGHS binding cannot be imported, every node
+is solved cold with ``scipy.optimize.linprog`` instead, which is also the
+reference.
 
 A solve may take a ``cutoff``, the objective of a solution the caller already
 holds.  It starts as the incumbent value, so nodes that cannot beat it are
@@ -122,7 +122,8 @@ class MilpModel:
             raise ValueError(f"unknown sense {sense!r}")
         self.sense = sense
         # when every attainable objective value is integral, nodes whose LP
-        # bound cannot improve the incumbent by a whole unit are pruned
+        # bound cannot improve the incumbent by a whole unit are pruned, and
+        # integer points are valued at the nearest integer
         self.integral_objective = integral_objective
         self.kinds: List[str] = []
         self.lb: List[float] = []
@@ -135,9 +136,9 @@ class MilpModel:
         self.row_lo: List[float] = []
         self.row_hi: List[float] = []
         # the basis the last optimal root LP ended in, and the basis the next
-        # root starts from: a copy of the former, taken only when the model
-        # grows or its bounds are set, so re-solving an unchanged model
-        # replays the same solve
+        # root starts from: a copy of the former, taken only when bounds are
+        # set, so re-solving an unchanged model replays the same solve; growth
+        # clears both, so a grown model's next root starts cold
         self.root_basis = None
         self.start_basis = None
         self._lp = None  # the HiGHS LP of the warm path, made by its first solve
@@ -161,7 +162,7 @@ class MilpModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
-        self.start_basis = self.root_basis
+        self.root_basis = self.start_basis = None
         return len(self.kinds) - 1
 
     def add_row(
@@ -182,7 +183,7 @@ class MilpModel:
         self.indptr.append(len(self.indices))
         self.row_lo.append(-np.inf if relation == LESS_EQUAL else float(rhs))
         self.row_hi.append(np.inf if relation == GREATER_EQUAL else float(rhs))
-        self.start_basis = self.root_basis
+        self.root_basis = self.start_basis = None
         return self.num_rows - 1
 
     def set_bounds(self, var: int, lb: float, ub: float) -> None:
@@ -298,6 +299,8 @@ class MilpModel:
                 sol = x.copy()
                 sol[binaries] = rounded
                 val = float(np.dot(c, sol))
+                if self.integral_objective:  # the LP's error varies with its basis
+                    val = float(round(val))
                 grew = False
                 if lazy is not None:
                     size = self.num_variables, self.num_rows
@@ -360,17 +363,17 @@ class MilpModel:
 def _warm_node_lp(c, model, resume=False):
     """Node LPs on the model's HiGHS LP: each node changes only column bounds,
     so the dual simplex restarts from the previous node's basis.  The root
-    starts from ``model.start_basis`` when there is one, else cold, and an
-    optimal root leaves its final basis in ``model.root_basis``.  ``resume``
-    appends what the model gained in the solve and keeps the basis, with the
-    new rows basic.  The prune threshold is HiGHS's ``objective_bound``, so
-    the dual simplex stops once its objective shows the node cannot beat
-    it."""
+    starts from ``model.start_basis`` when there is one, a basis of the model
+    as it stands, else cold, and an optimal root leaves its final basis in
+    ``model.root_basis``.  ``resume`` appends what the model gained in the
+    solve and keeps the basis, with the new rows basic.  The prune threshold
+    is HiGHS's ``objective_bound``, so the dual simplex stops once its
+    objective shows the node cannot beat it."""
     n = len(c)
     highs = _live_lp(c, model)
     if not resume:
         if model.start_basis is not None:
-            highs.setBasis(_grown_basis(model.start_basis, n, model.num_rows))
+            highs.setBasis(model.start_basis)
         else:
             highs.clearSolver()
     threshold = np.inf  # the LP outlives the solve, so clear its last threshold
@@ -441,23 +444,6 @@ def _live_lp(c, model):
             model.indices[first:], model.data[first:],
         )
     return highs
-
-
-def _grown_basis(basis, num_cols, num_rows):
-    """``basis`` extended to a grown model: the new columns sit at their lower
-    bound and the new rows are basic.  Its basis matrix is the old one plus
-    the new rows' slacks, so it is nonsingular and HiGHS need not check it.
-    A model that did not grow takes ``basis`` itself."""
-    cols, rows = basis.col_status, basis.row_status  # each read copies the list
-    if len(cols) == num_cols and len(rows) == num_rows:
-        return basis
-    grown = _highs.HighsBasis()
-    grown.valid = True
-    grown.alien = False
-    status = _highs.HighsBasisStatus
-    grown.col_status = cols + [status.kLower] * (num_cols - len(cols))
-    grown.row_status = rows + [status.kBasic] * (num_rows - len(rows))
-    return grown
 
 
 def _cold_node_lp(c, model, resume=False):

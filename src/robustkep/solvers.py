@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -125,6 +126,17 @@ class _Clock:
         if left <= 0:
             raise TimeBudgetExceeded
         return left
+
+
+@contextmanager
+def _stage2(stats: RobustStats):
+    """Charge the time spent in the block to stage 2, less the stage-3
+    recourse solves inside it, which charge themselves."""
+    t0, stage3 = time.perf_counter(), stats.time_stage3
+    try:
+        yield
+    finally:
+        stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
 
 
 def _check(outcome) -> None:
@@ -261,11 +273,8 @@ def solve_attack_subproblem_cuttingplane(
             add_interdiction_cut(sub, cut_sol)
         return r
 
-    t0, stage3 = time.perf_counter(), stats.time_stage3
-    try:
+    with _stage2(stats):
         outcome = sub.model.solve(clock.remaining(), lazy=separate)
-    finally:  # the recourse solves inside count on the stage-3 clock
-        stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
     stats.bb_nodes += outcome.nodes_explored
     _check(outcome)
     return outcome.int_objective(), extract_attack(sub, outcome)
@@ -309,31 +318,32 @@ def solve_attack_subproblem_bb(
 
     # stack of (attacked fixings, protected fixings)
     stack: List[Tuple[Set[int], Set[int]]] = [(set(), set())]
-    while stack:
-        clock.remaining()
-        a1, a0 = stack.pop()
-        stats.bb_nodes += 1
-        slots = budget - len(a1)
-        alive = [(e, w) for e, w in plan if not any(v in a1 for v in e.vertices)]
-        open_ = sorted(
-            ((e, w) for e, w in alive if any(v not in a0 for v in e.vertices)),
-            key=lambda ew: ew[1], reverse=True,  # stable: ties stay in plan order
-        )[:slots]
-        # lower bound: surviving plan weight under the worst completion
-        bound = sum(w for _, w in alive) - sum(w for _, w in open_)
-        if bound >= best_val:
-            continue
-        # the plan's exchanges are disjoint, so each fi hits only its own
-        fill = [min(v for v in e.vertices if v not in a0) for e, _ in open_]
-        fixed = a1 | a0 | set(fill)
-        fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
-        u = Attack.of(a1.union(fill), budget)
-        val = _attack_value(initial, u, rec, policy, off, clock, stats)
-        if val < best_val:
-            best_val = val
-            best_u = u
-        for i, f in enumerate(fill):
-            stack.append((a1.union(fill[:i]), a0 | {f}))
+    with _stage2(stats):
+        while stack:
+            clock.remaining()
+            a1, a0 = stack.pop()
+            stats.bb_nodes += 1
+            slots = budget - len(a1)
+            alive = [(e, w) for e, w in plan if not any(v in a1 for v in e.vertices)]
+            open_ = sorted(
+                ((e, w) for e, w in alive if any(v not in a0 for v in e.vertices)),
+                key=lambda ew: ew[1], reverse=True,  # stable: ties stay in plan order
+            )[:slots]
+            # lower bound: surviving plan weight under the worst completion
+            bound = sum(w for _, w in alive) - sum(w for _, w in open_)
+            if bound >= best_val:
+                continue
+            # the plan's exchanges are disjoint, so each fi hits only its own
+            fill = [min(v for v in e.vertices if v not in a0) for e, _ in open_]
+            fixed = a1 | a0 | set(fill)
+            fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
+            u = Attack.of(a1.union(fill), budget)
+            val = _attack_value(initial, u, rec, policy, off, clock, stats)
+            if val < best_val:
+                best_val = val
+                best_u = u
+            for i, f in enumerate(fill):
+                stack.append((a1.union(fill[:i]), a0 | {f}))
     return best_val, best_u
 
 

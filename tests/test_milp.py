@@ -284,9 +284,9 @@ def random_bounds(m, rng):
 
 
 class TestWarmRoot:
-    """Each re-solve of a grown or re-bounded model starts its root from the
-    basis the previous optimal root ended in (warm path); values never
-    depend on it."""
+    """Each re-solve of a re-bounded model starts its root from the basis the
+    previous optimal root ended in (warm path); a model that grew starts its
+    next root cold.  Values never depend on it."""
 
     def test_grown_models(self, lp_path, monkeypatch):
         rng = random.Random(13)
@@ -340,6 +340,31 @@ class TestWarmRoot:
         assert m.solve() == out  # re-solve
         assert len(built) == 1
 
+    def test_grown_then_rebounded(self, lp_path):
+        """Growth clears the recorded basis, so a model re-bounded after it
+        grew starts its root cold; re-bounded again after that solve, it
+        starts from the grown model's root basis."""
+        rng = random.Random(17)
+        warm_starts = 0
+        for _ in range(25):
+            m, obj, rows = random_model(rng, max_vars=6)
+            m.solve()
+            grow_block(m, rng, obj, rows)
+            for rebound in range(2):
+                random_bounds(m, rng)
+                if rebound == 0:
+                    assert m.start_basis is None
+                warm_starts += m.start_basis is not None
+                expected = enumerate_optimum(m, obj, rows)
+                out = m.solve()
+                assert m.solve() == out  # every field, LP iterations included
+                if expected is None:
+                    assert out.status is SolveStatus.INFEASIBLE
+                else:
+                    assert out.status is SolveStatus.OPTIMAL
+                    assert out.int_objective() == expected
+        assert (warm_starts > 0) == (lp_path == "warm")
+
     def test_infeasible_root_is_not_recorded(self, monkeypatch):
         if milp._highs is None:
             pytest.skip("scipy's HiGHS binding is not importable")
@@ -348,20 +373,13 @@ class TestWarmRoot:
         m.solve()
         recorded = m.root_basis
         assert recorded is not None
-        d = m.add_variable(BINARY, obj=2)
-        obj.append(2)
-        rows.append(([(c, 1), (d, 1)], LESS_EQUAL, 1))
-        m.add_row(*rows[-1])
-        saved = list(m.lb), list(m.ub)
         m.set_bounds(a, 1, 1)
         m.set_bounds(b, 1, 1)  # 2a + 3b > 4: the root LP, started warm, is infeasible
+        assert m.start_basis is recorded
         assert m.solve().status is SolveStatus.INFEASIBLE
         assert m.root_basis is recorded
-        m.lb, m.ub = saved
-        e = m.add_variable(BINARY, obj=6)  # the next root starts from `recorded`
-        obj.append(6)
-        rows.append(([(a, 1), (e, 1)], LESS_EQUAL, 1))
-        m.add_row(*rows[-1])
+        m.set_bounds(b, 0, 1)  # the next root starts from `recorded`
+        assert m.start_basis is recorded
         warm = m.solve()
         assert warm.status is SolveStatus.OPTIMAL
         assert warm.int_objective() == enumerate_optimum(m, obj, rows)

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import time
 import types
 
 import pytest
@@ -474,6 +475,26 @@ class TestSubproblemSolvers:
         )
         assert s == 1
         assert brute_force_recourse(x, u, pool, CHAIN_GRAPH, Policy.FULL_RECOURSE) == 1
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_stage2_time_is_charged(self, method):
+        """Either attacker charges its search to stage 2, less the recourse
+        solves inside it, which charge stage 3; in a robust solve too."""
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        x = full_chain_solution(pool)
+        stats = solvers.RobustStats()
+        t0 = time.perf_counter()
+        if method == "cut":
+            solve_attack_subproblem_cuttingplane(
+                x, pool, Policy.FULL_RECOURSE, Encoding.CC, 1, stats=stats
+            )
+        else:
+            solve_attack_subproblem_bb(x, pool, Policy.FULL_RECOURSE, 1, stats=stats)
+        elapsed = time.perf_counter() - t0
+        assert stats.time_stage2 > 0 and stats.time_stage3 > 0
+        assert stats.time_stage2 + stats.time_stage3 <= elapsed
+        cfg = RobustConfig(3, 3, 1, subproblem_method=method)
+        assert solve_robust(CHAIN_GRAPH, cfg).stats.time_stage2 > 0
 
     def test_budget_zero(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
