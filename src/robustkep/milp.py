@@ -15,8 +15,10 @@ the last optimal root ended in; otherwise, and always after the model grew,
 it starts cold, from a cleared solver.  Solves stay reproducible: that start
 basis changes only with the model, and the node order is fixed, so
 re-solving an unchanged model replays the same solve, LP iterations
-included.  When scipy's private HiGHS binding cannot be imported, every node
-is solved cold with ``scipy.optimize.linprog`` instead, which is also the
+included.  The HiGHS LP comes from scipy's private binding, which is loaded
+from its file, so that importing this module imports no ``scipy.optimize``
+(see ``_load_highs``).  When the binding cannot be loaded, every node is
+solved cold with ``scipy.optimize.linprog`` instead, which is also the
 reference.
 
 A solve may take a ``cutoff``, the objective of a solution the caller already
@@ -60,19 +62,71 @@ time limit ends there still reports a valid ``best_bound``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, diags
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _highs = None
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _core_file() -> Optional[str]:
+    """The file of scipy's HiGHS extension, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_highs():
+    """scipy's private HiGHS binding, or ``None`` when it cannot be loaded.
+
+    The binding is loaded from its file, because importing it by name first
+    runs ``scipy.optimize``'s ``__init__``, which pulls in ``scipy.linalg``,
+    ``scipy.sparse`` and the rest of ``scipy.optimize``: most of a process's
+    start-up time and memory, and nothing the warm path uses.  It is
+    registered under its full name before it runs, so a later
+    ``import scipy.optimize`` reuses it and pybind11 does not register its
+    types twice.  When the file cannot be found or loaded, the package import
+    is tried."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    path = _core_file()
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(_CORE, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_CORE] = module
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            sys.modules.pop(_CORE, None)
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+_highs = _load_highs()
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call, so a process
+    whose node LPs all take the warm path never imports ``scipy.optimize``."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -450,6 +504,8 @@ def _cold_node_lp(c, model, resume=False):
     """Node LPs by one cold ``linprog`` call each; the reference path, which
     builds its matrices afresh whether or not it ``resume``s a solve, and
     ignores the prune threshold: the solve prunes after the LP."""
+    from scipy.sparse import csr_matrix, diags
+
     shape = (model.num_rows, len(c))
     a = csr_matrix((model.data, model.indices, model.indptr), shape=shape)
     row_lo, row_hi = np.array(model.row_lo), np.array(model.row_hi)

@@ -1,5 +1,7 @@
+import importlib.machinery
 import itertools
 import random
+import sys
 import types
 
 import pytest
@@ -654,3 +656,80 @@ class TestCutoff:
             for _ in range(2):  # the second round follows a grown block
                 assert m.solve(cutoff=cutoff) == m.solve(cutoff=cutoff)
                 grow_block(m, rng, obj, rows)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch):
+    """The loader starts as in a new process whose file lookup finds nothing,
+    and the package import yields the stand-in module returned.
+
+    scipy's package is imported first, while milp's binding is registered,
+    so dropping the binding from ``sys.modules`` loads nothing twice."""
+    package = importlib.import_module("scipy.optimize._highspy")
+    monkeypatch.delitem(sys.modules, milp._CORE)
+    monkeypatch.setattr(milp, "_core_file", lambda: None)
+    stand_in = types.ModuleType(milp._CORE)
+    monkeypatch.setattr(package, "_core", stand_in, raising=False)
+    return stand_in
+
+
+class TestLoadHighs:
+    def test_registered_binding_is_reused(self, monkeypatch):
+        stand_in = types.ModuleType(milp._CORE)
+        monkeypatch.setitem(sys.modules, milp._CORE, stand_in)
+        monkeypatch.setattr(milp, "_core_file", lambda: pytest.fail("file lookup"))
+        assert milp._load_highs() is stand_in
+
+    def test_no_file_takes_the_package_import(self, fresh_loader):
+        assert milp._load_highs() is fresh_loader
+
+    def test_unloadable_file_takes_the_package_import(
+        self, fresh_loader, monkeypatch, tmp_path
+    ):
+        broken = tmp_path / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        broken.write_bytes(b"not a shared library")
+        monkeypatch.setattr(milp, "_core_file", lambda: str(broken))
+        assert milp._load_highs() is fresh_loader
+        assert milp._CORE not in sys.modules
+
+    def test_no_binding_solves_with_linprog(self, fresh_loader, monkeypatch):
+        # None in sys.modules makes the package import raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+        highs = milp._load_highs()
+        assert highs is None
+        monkeypatch.setattr(milp, "_highs", highs)
+        calls = counting_linprog(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(20):
+            m, obj, rows = random_model(rng)
+            expected = enumerate_optimum(m, obj, rows)
+            out = m.solve()
+            if expected is None:
+                assert out.status is SolveStatus.INFEASIBLE
+            else:
+                assert out.int_objective() == expected
+        assert calls[0] > 0
+
+
+def counting_linprog(monkeypatch):
+    """Wrap ``milp.linprog`` as a tracer does; returns the one-item call count."""
+    calls = [0]
+    real = milp.linprog
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "linprog", counting)
+    return calls
+
+
+def test_cold_path_calls_linprog_through_the_module(monkeypatch):
+    """perfbench's tracer times the cold path by patching ``milp.linprog``."""
+    monkeypatch.setattr(milp, "_highs", None)
+    calls = counting_linprog(monkeypatch)
+    m = MilpModel("max")
+    a, b = m.add_variable(obj=2), m.add_variable(obj=3)
+    m.add_row([(a, 1.0), (b, 1.0)], LESS_EQUAL, 1)
+    assert m.solve().int_objective() == 3
+    assert calls[0] > 0
