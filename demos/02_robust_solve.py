@@ -57,7 +57,7 @@ achieved = brute_force_recourse(
 print(f"recourse after that attack still saves {achieved} planned pairs")
 st = result.stats
 print(
-    f"(plans checked by the master tree: {st.master_iterations}, attacks "
-    f"registered: {st.n_attacks}, attacker calls: {st.n_subproblems}, "
+    f"(plans checked by the master tree: {st.n_subproblems}, attacks "
+    f"registered: {st.n_attacks}, "
     f"{st.time_total:.2f}s)"
 )

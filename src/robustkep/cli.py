@@ -121,9 +121,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")
         st = result.stats
         lines.append(
-            f"checked plans: {st.master_iterations}  attacks: {st.n_attacks}  "
-            f"attacker calls: {st.n_subproblems}  nodes: {st.bb_nodes}  "
-            f"time: {st.time_total:.3f}s"
+            f"attacks: {st.n_attacks}  attacker calls: {st.n_subproblems}  "
+            f"nodes: {st.bb_nodes}  time: {st.time_total:.3f}s"
         )
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -7,8 +7,9 @@ takes (column indices, coefficients and row starts, plus a lower and an upper
 bound per row), and can be appended between solves (lazy cuts);
 ``set_bounds`` changes a variable's column bounds.
 
-The model owns one HiGHS LP: its first solve passes the model, and later
-solves append the columns and rows added since (``addCols``/``addRows``).
+The model owns one HiGHS LP, made empty by its first solve.  Every solve
+appends the columns and rows the LP does not hold yet (``addCols``/
+``addRows``), so a new model and a grown one are filled the same way.
 Nodes change only column bounds, so the dual simplex restarts from the basis
 the previous node left.  After ``set_bounds`` the root starts from the basis
 the last optimal root ended in; otherwise, and always after the model grew,
@@ -155,10 +156,6 @@ class SolveOutcome:
     nodes_explored: int
     lp_iterations: int
 
-    def value(self, var: int) -> float:
-        assert self.assignment is not None
-        return self.assignment[var]
-
     def int_objective(self) -> int:
         """Objective rounded to the nearest integer (all-integer model data)."""
         assert self.objective is not None
@@ -179,7 +176,7 @@ class MilpModel:
         # bound cannot improve the incumbent by a whole unit are pruned, and
         # integer points are valued at the nearest integer
         self.integral_objective = integral_objective
-        self.kinds: List[str] = []
+        self.binaries: List[int] = []  # the binary columns, in index order
         self.lb: List[float] = []
         self.ub: List[float] = []
         self.obj: List[float] = []
@@ -199,7 +196,7 @@ class MilpModel:
 
     @property
     def num_variables(self) -> int:
-        return len(self.kinds)
+        return len(self.lb)
 
     @property
     def num_rows(self) -> int:
@@ -212,12 +209,13 @@ class MilpModel:
             raise ValueError(f"unknown variable kind {kind!r}")
         if lb > ub:
             raise ValueError(f"lower bound {lb} exceeds upper bound {ub}")
-        self.kinds.append(kind)
+        if kind == BINARY:
+            self.binaries.append(len(self.lb))
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
         self.root_basis = self.start_basis = None
-        return len(self.kinds) - 1
+        return len(self.lb) - 1
 
     def add_row(
         self, coeffs: Iterable[Tuple[int, float]], relation: str, rhs: float
@@ -258,9 +256,7 @@ class MilpModel:
             sign * np.asarray(self.obj, dtype=float),
             np.asarray(self.lb, dtype=float),
             np.asarray(self.ub, dtype=float),
-            np.array(
-                [i for i, k in enumerate(self.kinds) if k == BINARY], dtype=np.intp
-            ),
+            np.array(self.binaries, dtype=np.intp),
         )
 
     # -- solving ---------------------------------------------------------
@@ -420,9 +416,9 @@ def _warm_node_lp(c, model, resume=False):
     starts from ``model.start_basis`` when there is one, a basis of the model
     as it stands, else cold, and an optimal root leaves its final basis in
     ``model.root_basis``.  ``resume`` appends what the model gained in the
-    solve and keeps the basis, with the new rows basic.  The prune threshold
-    is HiGHS's ``objective_bound``, so the dual simplex stops once its
-    objective shows the node cannot beat it."""
+    solve and keeps the basis, with the new rows basic.  Each node sets its
+    prune threshold as HiGHS's ``objective_bound``, so the dual simplex stops
+    once its objective shows the node cannot beat it."""
     n = len(c)
     highs = _live_lp(c, model)
     if not resume:
@@ -430,16 +426,12 @@ def _warm_node_lp(c, model, resume=False):
             highs.setBasis(model.start_basis)
         else:
             highs.clearSolver()
-    threshold = np.inf  # the LP outlives the solve, so clear its last threshold
-    highs.setOptionValue("objective_bound", threshold)
     cols = np.arange(n, dtype=np.int32)
     root = not resume
 
     def solve_node(lb, ub, prune_at):
-        nonlocal root, threshold
-        if prune_at != threshold:
-            threshold = prune_at
-            highs.setOptionValue("objective_bound", threshold)
+        nonlocal root
+        highs.setOptionValue("objective_bound", prune_at)
         highs.changeColsBounds(n, cols, lb, ub)
         highs.run()
         status = highs.getModelStatus()
@@ -466,22 +458,14 @@ def _warm_node_lp(c, model, resume=False):
 
 
 def _live_lp(c, model):
-    """The model's HiGHS LP, made on first use, with the columns and rows
-    added since its last solve appended.  Column bounds are left to the
-    nodes; costs and row bounds are set as the columns and rows arrive."""
+    """The model's HiGHS LP, made empty on first use, with the columns and
+    rows it does not hold yet appended: all of them at first, then those the
+    model gained since.  Column bounds are left to the nodes; costs and row
+    bounds are set as the columns and rows arrive."""
     highs = model._lp
     if highs is None:
-        n = len(c)
-        zeros = np.zeros(n)
         highs = model._lp = _highs._Highs()
         highs.setOptionValue("output_flag", False)
-        highs.passModel(
-            n, model.num_rows, len(model.data), _highs.MatrixFormat.kRowwise,
-            _highs.ObjSense.kMinimize, 0.0, c, zeros, zeros, model.row_lo,
-            model.row_hi, model.indptr, model.indices, model.data,
-            np.zeros(n, dtype=np.int32),
-        )
-        return highs
     cols, rows = highs.getNumCol(), highs.getNumRow()
     new = len(c) - cols
     if new:

@@ -90,10 +90,8 @@ class RobustConfig:
 
 @dataclass
 class RobustStats:
-    # plans the master tree checked at its integer nodes, one per attacker call
-    master_iterations: int = 0
     n_attacks: int = 0  # attack blocks the master took, not its seed block
-    n_subproblems: int = 0  # attacker calls, one per plan, on either method
+    n_subproblems: int = 0  # attacker calls, one per plan the master checked
     # master, cut attacker and cut recourse MILP nodes, and bb search nodes
     bb_nodes: int = 0
     time_total: float = 0.0
@@ -149,9 +147,10 @@ def _check(outcome) -> None:
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
     lifted: bool, clock: _Clock, stats: RobustStats,
-) -> Tuple[KepSolution, int, int]:
+) -> Tuple[KepSolution, int]:
     """Build and solve the recourse model under u, on the stage-3 clock: the
-    cut solution, the recourse value and the nodes the solve explored.
+    cut solution and the recourse value.  The solve's nodes count in
+    ``stats.bb_nodes`` even when it meets the time limit.
 
     The cut attacker's hook builds a new model, solved cold, for each attack
     it meets: solving the lifted recourse warm, or on one model with the hit
@@ -161,8 +160,9 @@ def _recourse(
     rec = build_recourse(initial, u, pool, policy, lifted=lifted)
     outcome = rec.model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
+    stats.bb_nodes += outcome.nodes_explored
     _check(outcome)
-    return (*extract_cut_solution(rec, outcome), outcome.nodes_explored)
+    return extract_cut_solution(rec, outcome)
 
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
@@ -191,7 +191,6 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
 
     def check(x) -> Optional[int]:
         nonlocal best
-        stats.master_iterations += 1
         x_bar = extract_initial_solution(master, x)
         try:
             if cfg.subproblem_method == METHOD_CUT:
@@ -243,7 +242,8 @@ def solve_attack_subproblem_cuttingplane(
     recourse solution joins the model and the node is solved again.  The
     hook values the node at r either way, so the incumbent is the least
     recourse value found, and once the search ends it is s(x), with the
-    attack that gave it as the worst attack.
+    attack that gave it as the worst attack.  A time limit met in a recourse
+    solve stops the tree as its own limit would, with its nodes counted.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
@@ -253,12 +253,13 @@ def solve_attack_subproblem_cuttingplane(
     added = {initial}  # the solutions whose cuts the model holds
     recourses: Dict[Attack, Tuple[KepSolution, int]] = {}  # cut solution, value
 
-    def separate(x) -> int:
+    def separate(x) -> Optional[int]:
         u = attack_at(sub, x)
         if u not in recourses:
-            cut_sol, r, nodes = _recourse(initial, u, pool, policy, lifting, clock, stats)
-            stats.bb_nodes += nodes
-            recourses[u] = cut_sol, r
+            try:
+                recourses[u] = _recourse(initial, u, pool, policy, lifting, clock, stats)
+            except TimeBudgetExceeded:
+                return None  # the tree stops as on its own limit, its nodes counted
         cut_sol, r = recourses[u]
         z = x[sub.z_var]
         if r > z + GAP_TOL:

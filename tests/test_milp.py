@@ -53,7 +53,7 @@ class TestSolve:
         out = m.solve()
         assert out.status is SolveStatus.OPTIMAL
         assert out.int_objective() == 8
-        assert out.value(a) == 1 and out.value(c) == 1 and out.value(b) == 0
+        assert out.assignment[a] == 1 and out.assignment[c] == 1 and out.assignment[b] == 0
 
     def test_infeasible(self):
         m = MilpModel("max")
@@ -68,7 +68,7 @@ class TestSolve:
         m.add_row([(a, 1.0), (b, 1.0)], EQUAL, 1)
         out = m.solve()
         assert out.int_objective() == 1
-        assert out.value(b) == 1
+        assert out.assignment[b] == 1
 
     def test_continuous_variables(self):
         m = MilpModel("max")
@@ -82,7 +82,7 @@ class TestSolve:
         m.set_bounds(a, 0, 0)
         out = m.solve()
         assert out.int_objective() == 7
-        assert out.value(a) == 0
+        assert out.assignment[a] == 0
 
     def test_incremental_rows(self):
         m, (a, b, c) = knapsack_model()
@@ -279,6 +279,28 @@ def grow_block(m, rng, obj, rows):
         m.add_row(*rows[-1])
 
 
+def assert_lp_holds(m):
+    """The model's live HiGHS LP holds the model: its costs in minimization
+    form, its row bounds and its matrix, in whichever format HiGHS keeps it."""
+    lp = m._lp.getLp()
+    sign = -1.0 if m.sense == "max" else 1.0
+    assert (lp.num_col_, lp.num_row_) == (m.num_variables, m.num_rows)
+    assert list(lp.col_cost_) == [sign * v for v in m.obj]
+    assert (list(lp.row_lower_), list(lp.row_upper_)) == (m.row_lo, m.row_hi)
+    held = [[0.0] * m.num_variables for _ in range(m.num_rows)]
+    a = lp.a_matrix_
+    rowwise = a.format_ == milp._highs.MatrixFormat.kRowwise
+    for k in range(len(a.start_) - 1):
+        for p in range(a.start_[k], a.start_[k + 1]):
+            i, j = (k, a.index_[p]) if rowwise else (a.index_[p], k)
+            held[i][j] += a.value_[p]
+    model = [[0.0] * m.num_variables for _ in range(m.num_rows)]
+    for i in range(m.num_rows):
+        for p in range(m.indptr[i], m.indptr[i + 1]):
+            model[i][m.indices[p]] += m.data[p]
+    assert held == model
+
+
 def random_bounds(m, rng):
     """Set one to three random variables' bounds to 0, to 1 or back to both."""
     for var in rng.sample(range(m.num_variables), rng.randint(1, min(3, m.num_variables))):
@@ -331,15 +353,34 @@ class TestWarmRoot:
         m, (a, b, c) = knapsack_model()
         obj, rows = [5, 4, 3], [([(a, 2), (b, 3), (c, 1)], LESS_EQUAL, 4)]
         assert m.solve().int_objective() == 8
+        assert_lp_holds(m)  # the first fill
         d = m.add_variable(BINARY, obj=6)  # grow
         obj.append(6)
         rows.append(([(c, 1), (d, 1)], LESS_EQUAL, 1))
         m.add_row(*rows[-1])
         assert m.solve().int_objective() == enumerate_optimum(m, obj, rows)
+        assert_lp_holds(m)  # growth between solves
         m.set_bounds(a, 0, 0)  # re-bound
         out = m.solve()
         assert out.int_objective() == enumerate_optimum(m, obj, rows)
         assert m.solve() == out  # re-solve
+        assert_lp_holds(m)
+
+        def hook(x):  # grows the model once, by a column and a row
+            if len(obj) == 4:
+                obj.append(-1)
+                e = m.add_variable(BINARY, obj=-1)
+                rows.append(([(b, 1), (d, 1), (e, -1)], LESS_EQUAL, 0))
+                m.add_row(*rows[-1])
+            x = list(x) + [0.0] * (len(obj) - len(x))  # new columns at 0
+            if violated(rows, x):
+                return -float("inf")
+            return sum(o * v for o, v in zip(obj, x))
+
+        grown = m.solve(lazy=hook)
+        assert len(obj) == 5
+        assert grown.int_objective() == enumerate_optimum(m, obj, rows)
+        assert_lp_holds(m)  # growth inside a solve
         assert len(built) == 1
 
     def test_grown_then_rebounded(self, lp_path):

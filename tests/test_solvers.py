@@ -95,7 +95,7 @@ class TestSolveRobust:
         b = solve_robust(CHAIN_GRAPH, cfg)
         assert a.value == b.value
         assert a.initial == b.initial
-        assert a.stats.master_iterations == b.stats.master_iterations
+        assert a.stats.n_subproblems == b.stats.n_subproblems
 
     def test_time_limit(self):
         g = generate_instance(8, 2, 0.4, seed=5)
@@ -133,7 +133,7 @@ class TestSolveRobust:
             checks.clear()
             cfg = RobustConfig(3, 3, budget, encoding=encoding, subproblem_method=method)
             st = solve_robust(small_instance(seed), cfg).stats
-            assert st.master_iterations == len(checks)
+            assert st.n_subproblems == len(checks)
             assert all(added == below for below, added in checks)
             assert st.n_attacks == sum(added for _, added in checks)
             seen += checks
@@ -141,7 +141,7 @@ class TestSolveRobust:
         cfg = RobustConfig(3, 3, 2, subproblem_method=method, time_limit=1e-6)
         result = solve_robust(small_instance(0), cfg)
         assert result.status == "timelimit"
-        assert (result.stats.master_iterations, result.stats.n_attacks) == (0, 0)
+        assert (result.stats.n_subproblems, result.stats.n_attacks) == (0, 0)
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_plan_worth_more_than_its_node(self, monkeypatch, method):
@@ -161,7 +161,7 @@ class TestSolveRobust:
             for x in master.x_vars.values():
                 model.set_bounds(x, 1, 1)
             first = max(master.x_vars.values()) + 1
-            y = [v for v in range(first, model.num_variables) if model.kinds[v] == milp.BINARY]
+            y = [v for v in range(first, model.num_variables) if v in model.binaries]
             for v in y[:2]:  # the seed block's y of the cycles (0, 1) and (2, 3)
                 model.set_bounds(v, 0, 0)
             real_solve = model.solve
@@ -179,7 +179,7 @@ class TestSolveRobust:
         result = solve_robust(graph, RobustConfig(2, 0, 1, subproblem_method=method))
         assert z_bars == [2]
         assert (result.status, result.value) == ("optimal", 4)
-        assert (result.stats.master_iterations, result.stats.n_attacks) == (1, 0)
+        assert (result.stats.n_subproblems, result.stats.n_attacks) == (1, 0)
         pool = build_pool(graph, 2, 0)
         assert len(result.initial.exchanges(pool)) == 3
         replay = brute_force_recourse(
@@ -219,7 +219,9 @@ class TestSolveRobust:
         g = small_instance(1)  # three plans checked when untimed
         result = solve_robust(g, RobustConfig(3, 3, 1, subproblem_method=method))
         assert result.status == "timelimit"
-        assert result.stats.master_iterations == 2
+        # the master checked two plans; the second call raised before the
+        # attacker ran, so it made one attacker call
+        assert next(calls) == 3 and result.stats.n_subproblems == 1
         [outcome] = outcomes
         assert outcome.status is milp.SolveStatus.TIME_LIMIT
         assert 0 < outcome.nodes_explored <= result.stats.bb_nodes
@@ -229,6 +231,39 @@ class TestSolveRobust:
             Policy.FULL_RECOURSE,
         )
         assert replay == result.value
+
+    @pytest.mark.parametrize("raise_at", [2, 3, None])
+    def test_recourse_time_limit_keeps_every_node(self, monkeypatch, raise_at):
+        """A time limit met in a recourse solve inside the cut attacker stops
+        the attacker's tree as its own limit would: every node LP that ran,
+        the master's, the attacker's and the recourse's, counts in
+        ``bb_nodes``."""
+        if milp._highs is None:
+            pytest.skip("scipy's HiGHS binding is not importable")
+        node_lps = []
+        real_node_lp, real_recourse = milp._warm_node_lp, solvers._recourse
+        calls = itertools.count(1)
+
+        def node_lp(*args, **kwargs):
+            solve_node = real_node_lp(*args, **kwargs)
+
+            def counting(*node_args):
+                node_lps.append(node_args)
+                return solve_node(*node_args)
+
+            return counting
+
+        def recourse(*args, **kwargs):
+            out = real_recourse(*args, **kwargs)
+            if next(calls) == raise_at:  # the solve ran, then met the limit
+                raise solvers.TimeBudgetExceeded
+            return out
+
+        monkeypatch.setattr(milp, "_warm_node_lp", node_lp)
+        monkeypatch.setattr(solvers, "_recourse", recourse)
+        result = solve_robust(generate_instance(18, 2, 0.15, seed=0), RobustConfig(3, 3, 3))
+        assert result.status == ("optimal" if raise_at is None else "timelimit")
+        assert result.stats.bb_nodes == len(node_lps)
 
     def test_bad_method_rejected(self):
         for method in ("simplex", "oracle"):
@@ -420,7 +455,7 @@ class TestCutoffPaths:
                 assert result.status == "optimal"
                 assert cutoffs == [0]
                 assert len(set(attacked)) == len(attacked), "a plan was attacked twice"
-                assert len(attacked) == result.stats.master_iterations > 0
+                assert len(attacked) == result.stats.n_subproblems > 0
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_cold_path_agrees(self, monkeypatch, cutoff_paths, method):
