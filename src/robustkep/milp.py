@@ -18,9 +18,9 @@ basis changes only with the model, and the node order is fixed, so
 re-solving an unchanged model replays the same solve, LP iterations
 included.  The HiGHS LP comes from scipy's private binding, which is loaded
 from its file, so that importing this module imports no ``scipy.optimize``
-(see ``_load_highs``).  When the binding cannot be loaded, every node is
-solved cold with ``scipy.optimize.linprog`` instead, which is also the
-reference.
+(see ``_load_highs``).  On a scipy without the ``optimize/_highspy`` package,
+or where a test sets ``_highs`` to None, every node is solved cold with
+``scipy.optimize.linprog``, the reference, which elsewhere needs the binding.
 
 A solve may take a ``cutoff``, the objective of a solution the caller already
 holds.  It starts as the incumbent value, so nodes that cannot beat it are
@@ -313,8 +313,8 @@ class MilpModel:
         stack: List[Tuple[Optional[Dict[int, float]], float]] = [({}, -np.inf)]
 
         while stack:
-            if time_limit is not None and time.perf_counter() - start > time_limit:
-                break  # the open nodes stay on the stack
+            if time_limit is not None and time.perf_counter() - start >= time_limit:
+                break  # the open nodes stay on the stack; limit 0 keeps the root
             overrides, parent_bound = stack.pop()
             if parent_bound >= incumbent_val - improvement:
                 continue

@@ -16,6 +16,11 @@ attacker is one branch-and-cut solve per plan: the attacker MILP's lazy
 hook separates interdiction cuts at its integer nodes and values each node
 at its attack's recourse value, so the search ends on the exact attack
 value and a worst attack.
+
+A time limit ends a solve one way.  A ``MilpModel`` solve that meets it
+reports ``TIME_LIMIT``; each layer above counts that solve's nodes and time,
+then returns None, and a lazy hook that gets None passes it on, which ends
+its tree as a time limit does (see ``milp``).
 """
 
 from __future__ import annotations
@@ -54,10 +59,6 @@ from .milp import GAP_TOL, SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
-
-
-class TimeBudgetExceeded(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,10 @@ class _Clock:
         return time.perf_counter() - self.start
 
     def remaining(self) -> Optional[float]:
+        """Seconds left, 0.0 once the limit is spent; None without a limit."""
         if self.limit is None:
             return None
-        left = self.limit - self.elapsed()
-        if left <= 0:
-            raise TimeBudgetExceeded
-        return left
+        return max(self.limit - self.elapsed(), 0.0)
 
 
 @contextmanager
@@ -131,26 +130,23 @@ def _stage2(stats: RobustStats):
     """Charge the time spent in the block to stage 2, less the stage-3
     recourse solves inside it, which charge themselves."""
     t0, stage3 = time.perf_counter(), stats.time_stage3
-    try:
-        yield
-    finally:
-        stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
+    yield
+    stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
 
 
-def _check(outcome) -> None:
-    if outcome.status is SolveStatus.TIME_LIMIT:
-        raise TimeBudgetExceeded
-    if outcome.status is not SolveStatus.OPTIMAL:
+def _check(outcome) -> bool:  # True if optimal, False at the time limit
+    if outcome.status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT):
         raise RuntimeError(f"unexpected solve status {outcome.status}")
+    return outcome.status is SolveStatus.OPTIMAL
 
 
 def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
     lifted: bool, clock: _Clock, stats: RobustStats,
-) -> Tuple[KepSolution, int]:
+) -> Optional[Tuple[KepSolution, int]]:
     """Build and solve the recourse model under u, on the stage-3 clock: the
-    cut solution and the recourse value.  The solve's nodes count in
-    ``stats.bb_nodes`` even when it meets the time limit.
+    cut solution and the recourse value, or None when the solve meets the
+    time limit.  The solve's nodes count in ``stats.bb_nodes`` either way.
 
     The cut attacker's hook builds a new model, solved cold, for each attack
     it meets: solving the lifted recourse warm, or on one model with the hit
@@ -161,8 +157,7 @@ def _recourse(
     outcome = rec.model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
     stats.bb_nodes += outcome.nodes_explored
-    _check(outcome)
-    return extract_cut_solution(rec, outcome)
+    return extract_cut_solution(rec, outcome) if _check(outcome) else None
 
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
@@ -192,31 +187,28 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     def check(x) -> Optional[int]:
         nonlocal best
         x_bar = extract_initial_solution(master, x)
-        try:
-            if cfg.subproblem_method == METHOD_CUT:
-                s_val, u_star = solve_attack_subproblem_cuttingplane(
-                    x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
-                    lifting=cfg.lifting, clock=clock, stats=stats,
-                )
-            else:
-                s_val, u_star = solve_attack_subproblem_bb(
-                    x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats,
-                )
-        except TimeBudgetExceeded:
+        if cfg.subproblem_method == METHOD_CUT:
+            worst = solve_attack_subproblem_cuttingplane(
+                x_bar, pool, cfg.policy, cfg.encoding, cfg.budget,
+                lifting=cfg.lifting, clock=clock, stats=stats,
+            )
+        else:
+            worst = solve_attack_subproblem_bb(
+                x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats,
+            )
+        if worst is None:
             return None  # the master stops as on its own limit, its nodes counted
+        s_val, u_star = worst
         if s_val > best.value:
             best = RobustResult(s_val, x_bar, u_star, "timelimit", stats)
         if s_val < round(x[master.z_var]):
             extend_master_with_attack(master, u_star)
         return s_val
 
-    try:
-        outcome = master.model.solve(clock.remaining(), cutoff=best.value, lazy=check)
-        stats.bb_nodes += outcome.nodes_explored
-        if outcome.status is not SolveStatus.TIME_LIMIT:
-            best.status = "optimal"
-    except TimeBudgetExceeded:
-        pass
+    outcome = master.model.solve(clock.remaining(), cutoff=best.value, lazy=check)
+    stats.bb_nodes += outcome.nodes_explored
+    if outcome.status is not SolveStatus.TIME_LIMIT:
+        best.status = "optimal"
     stats.n_attacks = len(master.blocks) - 1  # not the seed block
     stats.time_total = clock.elapsed()
     best.exchanges = best.initial.exchanges(pool)
@@ -232,9 +224,9 @@ def solve_attack_subproblem_cuttingplane(
     lifting: bool = True,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
-) -> Tuple[int, Attack]:
+) -> Optional[Tuple[int, Attack]]:
     """Attack value s(x) and a worst attack by interdiction-cut generation in
-    one branch-and-cut tree.
+    one branch-and-cut tree, or None when ``clock`` runs out.
 
     The attacker MILP is solved once.  At each integer node its lazy hook
     solves the recourse under the node's attack u, once per attack; when the
@@ -256,10 +248,10 @@ def solve_attack_subproblem_cuttingplane(
     def separate(x) -> Optional[int]:
         u = attack_at(sub, x)
         if u not in recourses:
-            try:
-                recourses[u] = _recourse(initial, u, pool, policy, lifting, clock, stats)
-            except TimeBudgetExceeded:
+            recourse = _recourse(initial, u, pool, policy, lifting, clock, stats)
+            if recourse is None:
                 return None  # the tree stops as on its own limit, its nodes counted
+            recourses[u] = recourse
         cut_sol, r = recourses[u]
         z = x[sub.z_var]
         if r > z + GAP_TOL:
@@ -277,7 +269,8 @@ def solve_attack_subproblem_cuttingplane(
     with _stage2(stats):
         outcome = sub.model.solve(clock.remaining(), lazy=separate)
     stats.bb_nodes += outcome.nodes_explored
-    _check(outcome)
+    if not _check(outcome):
+        return None
     return outcome.int_objective(), extract_attack(sub, outcome)
 
 
@@ -288,8 +281,9 @@ def solve_attack_subproblem_bb(
     budget: int,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
-) -> Tuple[int, Attack]:
-    """Attack value s(x) and a worst attack by depth-first search.
+) -> Optional[Tuple[int, Attack]]:
+    """Attack value s(x) and a worst attack by depth-first search, or None
+    when ``clock`` runs out, which each node checks.
 
     A node fixes vertices attacked (``a1``) and protected (``a0``).  Its open
     list, the plan's exchanges that ``a1`` spares and that have a vertex
@@ -321,7 +315,8 @@ def solve_attack_subproblem_bb(
     stack: List[Tuple[Set[int], Set[int]]] = [(set(), set())]
     with _stage2(stats):
         while stack:
-            clock.remaining()
+            if clock.remaining() == 0.0:
+                return None
             a1, a0 = stack.pop()
             stats.bb_nodes += 1
             slots = budget - len(a1)
@@ -340,6 +335,8 @@ def solve_attack_subproblem_bb(
             fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
             u = Attack.of(a1.union(fill), budget)
             val = _attack_value(initial, u, rec, policy, off, clock, stats)
+            if val is None:
+                return None
             if val < best_val:
                 best_val = val
                 best_u = u
@@ -351,13 +348,13 @@ def solve_attack_subproblem_bb(
 def _attack_value(
     initial: KepSolution, u: Attack, rec: RecourseHandle, policy: Policy,
     off: Set[int], clock: _Clock, stats: RobustStats,
-) -> int:
+) -> Optional[int]:
     """Recourse value under u on ``rec``, the FR recourse of the whole pool,
-    on the stage-3 clock.  The exchanges through u, and under FSE through
-    the structures it enforces, get upper bound 0; the optimum plus the
-    enforced weight is the value.  ``off`` holds the exchanges the previous
-    attack turned off: those u spares are turned back on, and ``off`` ends
-    holding u's."""
+    on the stage-3 clock, or None when the solve meets the time limit.  The
+    exchanges through u, and under FSE through the structures it enforces,
+    get upper bound 0; the optimum plus the enforced weight is the value.
+    ``off`` holds the exchanges the previous attack turned off: those u
+    spares are turned back on, and ``off`` ends holding u's."""
     t0 = time.perf_counter()
     pool, model = rec.pool, rec.model
     enforced = (
@@ -375,7 +372,8 @@ def _attack_value(
     off.update(now)
     outcome = model.solve(clock.remaining())
     stats.time_stage3 += time.perf_counter() - t0
-    _check(outcome)
+    if not _check(outcome):
+        return None
     return outcome.int_objective() + sum(
         exchange_weight(e, rec.initial_pairs) for e in enforced
     )

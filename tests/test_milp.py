@@ -191,11 +191,13 @@ class TestTimeLimit:
         return m
 
     def test_stops_before_an_incumbent(self, lp_path, ticking_clock):
-        out = self.model().solve(1.5)
-        assert out.status is SolveStatus.TIME_LIMIT
-        assert out.objective is None and out.assignment is None
-        assert out.nodes_explored == 1
-        assert out.best_bound >= 20  # the root LP bound
+        """Limit 0 stops before the root, which stays open; 1.5 stops after it."""
+        for limit, nodes in ((0, 0), (1.5, 1)):
+            out = self.model().solve(limit)
+            assert out.status is SolveStatus.TIME_LIMIT
+            assert out.objective is None and out.assignment is None
+            assert out.nodes_explored == nodes
+            assert out.best_bound >= 20  # the root LP bound, inf with it open
 
     def test_stops_with_an_incumbent(self, lp_path, ticking_clock):
         m = self.model()

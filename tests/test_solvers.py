@@ -210,7 +210,7 @@ class TestSolveRobust:
 
         def attack(*args, **kwargs):
             if next(calls) == 2:
-                raise solvers.TimeBudgetExceeded
+                return None
             return real_attack(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "build_master", build_master)
@@ -219,8 +219,8 @@ class TestSolveRobust:
         g = small_instance(1)  # three plans checked when untimed
         result = solve_robust(g, RobustConfig(3, 3, 1, subproblem_method=method))
         assert result.status == "timelimit"
-        # the master checked two plans; the second call raised before the
-        # attacker ran, so it made one attacker call
+        # the master checked two plans; the second call returned None
+        # before the attacker ran, so it made one attacker call
         assert next(calls) == 3 and result.stats.n_subproblems == 1
         [outcome] = outcomes
         assert outcome.status is milp.SolveStatus.TIME_LIMIT
@@ -232,8 +232,8 @@ class TestSolveRobust:
         )
         assert replay == result.value
 
-    @pytest.mark.parametrize("raise_at", [2, 3, None])
-    def test_recourse_time_limit_keeps_every_node(self, monkeypatch, raise_at):
+    @pytest.mark.parametrize("stop_at", [2, 3, None])
+    def test_recourse_time_limit_keeps_every_node(self, monkeypatch, stop_at):
         """A time limit met in a recourse solve inside the cut attacker stops
         the attacker's tree as its own limit would: every node LP that ran,
         the master's, the attacker's and the recourse's, counts in
@@ -255,14 +255,14 @@ class TestSolveRobust:
 
         def recourse(*args, **kwargs):
             out = real_recourse(*args, **kwargs)
-            if next(calls) == raise_at:  # the solve ran, then met the limit
-                raise solvers.TimeBudgetExceeded
+            if next(calls) == stop_at:  # the solve ran, then met the limit
+                return None
             return out
 
         monkeypatch.setattr(milp, "_warm_node_lp", node_lp)
         monkeypatch.setattr(solvers, "_recourse", recourse)
         result = solve_robust(generate_instance(18, 2, 0.15, seed=0), RobustConfig(3, 3, 3))
-        assert result.status == ("optimal" if raise_at is None else "timelimit")
+        assert result.status == ("optimal" if stop_at is None else "timelimit")
         assert result.stats.bb_nodes == len(node_lps)
 
     def test_bad_method_rejected(self):
@@ -501,6 +501,26 @@ class TestSubproblemSolvers:
                 full_chain_solution(pool), pool, Policy.FULL_RECOURSE,
                 Encoding.CC, 1, clock=solvers._Clock(3.0),
             )
+
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_spent_clock_returns_none(self, method):
+        """An attacker called directly with a clock that has run out returns
+        None, having started its search but explored no node."""
+        pool = build_pool(CHAIN_GRAPH, 3, 3)
+        x = full_chain_solution(pool)
+        stats = solvers.RobustStats()
+        clock = solvers._Clock(1.0)
+        clock.start -= 2.0
+        if method == "cut":
+            out = solve_attack_subproblem_cuttingplane(
+                x, pool, Policy.FULL_RECOURSE, Encoding.CC, 1, clock=clock, stats=stats
+            )
+        else:
+            out = solve_attack_subproblem_bb(
+                x, pool, Policy.FULL_RECOURSE, 1, clock=clock, stats=stats
+            )
+        assert out is None
+        assert (stats.n_subproblems, stats.bb_nodes) == (1, 0)
 
     def test_bb_exact_value(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
