@@ -17,40 +17,37 @@ it starts cold, from a cleared solver.  Solves stay reproducible: that start
 basis changes only with the model, and the node order is fixed, so
 re-solving an unchanged model replays the same solve, LP iterations
 included.  The HiGHS LP comes from scipy's private binding, which is loaded
-from its file, so that importing this module imports no ``scipy.optimize``
-(see ``_load_highs``).  On a scipy without the ``optimize/_highspy`` package,
-or where a test sets ``_highs`` to None, every node is solved cold with
-``scipy.optimize.linprog``, the reference, which elsewhere needs the binding.
+from its file, so that importing this module imports no ``scipy.optimize``;
+on a scipy without that binding the import fails (see ``_load_highs``).
 
 A solve may take a ``cutoff``, the objective of a solution the caller already
 holds.  It starts as the incumbent value, so nodes that cannot beat it are
-pruned on either LP path, and ``INFEASIBLE`` then means that no solution
-beats the cutoff, not that the model has none.  On the warm path each node
-LP gets the prune threshold, the incumbent value less the improvement a
-solution must bring, as HiGHS's ``objective_bound``: the dual simplex stops
-once its objective shows that the node cannot beat the threshold, and the
-node is closed as pruned.  The ``linprog`` path prunes after the LP.
+pruned, and ``INFEASIBLE`` then means that no solution beats the cutoff, not
+that the model has none.  Each node LP gets the prune threshold, the
+incumbent value less the improvement a solution must bring, as HiGHS's
+``objective_bound``: the dual simplex stops once its objective shows that
+the node cannot beat the threshold, and the node is closed as pruned.
 
 A solve may also take a ``lazy`` hook, called at each node whose LP solution
 is integral, for constraints too many to state up front.  The hook returns
 that integer point's true objective, which makes it the incumbent when it is
 better, and may add rows, or columns and rows, that the point violates.  A
-node whose hook added something is solved again, and the re-solve counts as
-a node: the live HiGHS LP takes the new rows and columns and keeps its basis,
-and the ``linprog`` path rebuilds its matrices.  Each node's LP bound must
-stay a bound on the true objective of the integer points in the node, so
-additions may only tighten the relaxation; nodes pruned before them then
-stay validly pruned.  A point that violates what the hook adds may be valued at
-the worst objective (``-inf`` under ``max``, ``inf`` under ``min``), so it
-never becomes the incumbent.  A hook that adds nothing closes the node, whose
-LP bound is the point's objective.  It must not value the point below that
-objective, or the node's other integer points would be skipped unexamined,
-so the solve raises.  It may value the point above it: the point can stand
-for a solution worth more than the node lets it show, as a branch-and-check
-master's plan does when branching fixed some of its recourse binaries to 0.
-That value becomes the incumbent, and nothing left in the node can beat it.
-A hook that returns ``None``, having run out of time before it could value
-the point, ends the solve as a time limit does, with the node left open.
+node whose hook added something is solved again, and the re-solve counts as a
+node: the live HiGHS LP takes the new rows and columns and keeps its basis.
+Each node's LP bound must stay a bound on the true objective of the integer
+points in the node, so additions may only tighten the relaxation; nodes pruned
+before them then stay validly pruned.  A point that violates what the hook
+adds may be valued at the worst objective (``-inf`` under ``max``, ``inf``
+under ``min``), so it never becomes the incumbent.  A hook that adds nothing
+closes the node, whose LP bound is the point's objective.  It must not value
+the point below that objective, or the node's other integer points would be
+skipped unexamined, so the solve raises.  It may value the point above it: the
+point can stand for a solution worth more than the node lets it show, as a
+branch-and-check master's plan does when branching fixed some of its recourse
+binaries to 0.  That value becomes the incumbent, and nothing left in the node
+can beat it.  A hook that returns ``None``, having run out of time before it
+could value the point, ends the solve as a time limit does, with the node left
+open.
 
 When a hook grows the model at a node other than the root, the solve first
 checks the grown root: it solves the root LP of the grown model, counted as
@@ -89,41 +86,49 @@ def _core_file() -> Optional[str]:
 
 
 def _load_highs():
-    """scipy's private HiGHS binding, or ``None`` when it cannot be loaded.
+    """scipy's private HiGHS binding, loaded from its file.
 
-    The binding is loaded from its file, because importing it by name first
-    runs ``scipy.optimize``'s ``__init__``, which pulls in ``scipy.linalg``,
-    ``scipy.sparse`` and the rest of ``scipy.optimize``: most of a process's
-    start-up time and memory, and nothing the warm path uses.  It is
-    registered under its full name before it runs, so a later
-    ``import scipy.optimize`` reuses it and pybind11 does not register its
-    types twice.  When the file cannot be found or loaded, the package import
-    is tried."""
+    Importing it by name first runs ``scipy.optimize``'s ``__init__``, which
+    pulls in ``scipy.linalg``, ``scipy.sparse`` and the rest of
+    ``scipy.optimize``: most of a process's start-up time and memory, and
+    nothing this module uses.  It is registered under its full name before it
+    runs, so a later ``import scipy.optimize`` reuses it and pybind11 does not
+    register its types twice.  Because it is loaded before its package, the
+    package ``scipy.optimize._highspy`` has no ``_core`` attribute after
+    ``import robustkep``, even once ``scipy.optimize`` is imported:
+    ``from scipy.optimize._highspy import _core`` and
+    ``import scipy.optimize._highspy._core`` find the binding in
+    ``sys.modules``, but the attribute chain raises ``AttributeError``.
+    Setting the attribute would mean importing ``scipy.optimize``.
+
+    Raises ``ImportError``, naming the scipy floor, when the file is missing
+    or will not load."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]
+    missing = (
+        "robustkep needs scipy's HiGHS binding optimize/_highspy/_core, "
+        "which scipy ships from 1.15 on (pyproject.toml: scipy>=1.15)"
+    )
     path = _core_file()
-    if path is not None:
-        spec = importlib.util.spec_from_file_location(_CORE, path)
-        try:
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[_CORE] = module
-            spec.loader.exec_module(module)
-            return module
-        except ImportError:
-            sys.modules.pop(_CORE, None)
+    if path is None:
+        raise ImportError(missing)
+    spec = importlib.util.spec_from_file_location(_CORE, path)
     try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    return _core
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_CORE] = module
+        spec.loader.exec_module(module)
+    except ImportError as err:
+        sys.modules.pop(_CORE, None)
+        raise ImportError(f"{missing}; {path} does not load: {err}") from err
+    return module
 
 
 _highs = _load_highs()
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call, so a process
-    whose node LPs all take the warm path never imports ``scipy.optimize``."""
+    """``scipy.optimize.linprog``, imported on the first call.  robustkep
+    never calls it; it stays because perfbench/tracer.py patches this name."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -301,8 +306,7 @@ class MilpModel:
                 return SolveOutcome(SolveStatus.OPTIMAL, 0.0, [], 0.0, 1, 0)
             return SolveOutcome(SolveStatus.INFEASIBLE, None, None, 0.0, 1, 0)
         c, base_lb, base_ub, binaries = self._column_arrays()
-        node_lp = _warm_node_lp if _highs is not None else _cold_node_lp
-        solve_lp = node_lp(c, self)
+        solve_lp = _warm_node_lp(c, self)
 
         incumbent: Optional[np.ndarray] = None
         nodes = 0
@@ -371,7 +375,7 @@ class MilpModel:
                     incumbent = sol
                 if grew:  # solve the node again, on the grown model
                     c, base_lb, base_ub, binaries = self._column_arrays()
-                    solve_lp = node_lp(c, self, resume=True)
+                    solve_lp = _warm_node_lp(c, self, resume=True)
                     stack.append((overrides, bound))
                     if overrides:  # but first check the grown root
                         stack.append((None, min(pb for _, pb in stack)))
@@ -482,40 +486,3 @@ def _live_lp(c, model):
             model.indices[first:], model.data[first:],
         )
     return highs
-
-
-def _cold_node_lp(c, model, resume=False):
-    """Node LPs by one cold ``linprog`` call each; the reference path, which
-    builds its matrices afresh whether or not it ``resume``s a solve, and
-    ignores the prune threshold: the solve prunes after the LP."""
-    from scipy.sparse import csr_matrix, diags
-
-    shape = (model.num_rows, len(c))
-    a = csr_matrix((model.data, model.indices, model.indptr), shape=shape)
-    row_lo, row_hi = np.array(model.row_lo), np.array(model.row_hi)
-    eq = row_lo == row_hi
-    ineq = ~eq
-    # >= rows are negated into <= rows
-    flip = np.where(np.isfinite(row_hi[ineq]), 1.0, -1.0)
-    a_ub = diags(flip) @ a[ineq]
-    b_ub = np.where(flip > 0, row_hi[ineq], -row_lo[ineq])
-    a_eq, b_eq = a[eq], row_lo[eq]
-
-    def solve_node(lb, ub, prune_at):
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
-        iters = int(getattr(res, "nit", 0) or 0)
-        if res.status == 2:
-            return None, None, iters
-        if res.status != 0:
-            raise RuntimeError(f"LP solve failed with status {res.status}")
-        return res.fun, res.x, iters
-
-    return solve_node

@@ -1,8 +1,10 @@
 import importlib.machinery
 import itertools
 import random
+import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from robustkep.milp import (
     MilpModel,
     SolveStatus,
 )
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def knapsack_model():
@@ -162,13 +166,11 @@ def enumerate_optimum(m, obj, rows):
     return best
 
 
-@pytest.fixture(params=["warm", "linprog"])
-def lp_path(request, monkeypatch):
-    """Node LPs on one warm HiGHS instance per solve, or cold ``linprog``."""
-    if request.param == "warm" and milp._highs is None:
-        pytest.skip("scipy's HiGHS binding is not importable")
-    if request.param == "linprog":
-        monkeypatch.setattr(milp, "_highs", None)
+@pytest.fixture(params=["warm"])
+def lp_path(request):
+    """The one LP path: node LPs on the model's warm HiGHS LP.  The tests
+    that take it keep their ``[warm]`` ids from when a cold ``linprog``
+    path ran beside it."""
     return request.param
 
 
@@ -311,10 +313,10 @@ def random_bounds(m, rng):
 
 class TestWarmRoot:
     """Each re-solve of a re-bounded model starts its root from the basis the
-    previous optimal root ended in (warm path); a model that grew starts its
-    next root cold.  Values never depend on it."""
+    previous optimal root ended in; a model that grew starts its next root
+    cold.  Values never depend on it."""
 
-    def test_grown_models(self, lp_path, monkeypatch):
+    def test_grown_models(self, lp_path):
         rng = random.Random(13)
         for _ in range(25):
             m, obj, rows = random_model(rng, max_vars=6)
@@ -327,10 +329,6 @@ class TestWarmRoot:
                 else:
                     assert out.status is SolveStatus.OPTIMAL
                     assert out.int_objective() == expected
-                with monkeypatch.context() as cold_path:
-                    cold_path.setattr(milp, "_highs", None)
-                    cold = m.solve()
-                assert (cold.status, cold.objective) == (out.status, out.objective)
                 random_bounds(m, rng)
                 grow_block(m, rng, obj, rows)
 
@@ -342,8 +340,6 @@ class TestWarmRoot:
         assert m.solve() == out
 
     def test_one_highs_object_per_model(self, monkeypatch):
-        if milp._highs is None:
-            pytest.skip("scipy's HiGHS binding is not importable")
         built = []
         real = milp._highs._Highs
 
@@ -408,11 +404,9 @@ class TestWarmRoot:
                 else:
                     assert out.status is SolveStatus.OPTIMAL
                     assert out.int_objective() == expected
-        assert (warm_starts > 0) == (lp_path == "warm")
+        assert warm_starts > 0
 
-    def test_infeasible_root_is_not_recorded(self, monkeypatch):
-        if milp._highs is None:
-            pytest.skip("scipy's HiGHS binding is not importable")
+    def test_infeasible_root_is_not_recorded(self):
         m, (a, b, c) = knapsack_model()
         obj, rows = [5, 4, 3], [([(a, 2), (b, 3), (c, 1)], LESS_EQUAL, 4)]
         m.solve()
@@ -428,9 +422,6 @@ class TestWarmRoot:
         warm = m.solve()
         assert warm.status is SolveStatus.OPTIMAL
         assert warm.int_objective() == enumerate_optimum(m, obj, rows)
-        monkeypatch.setattr(milp, "_highs", None)
-        cold = m.solve()
-        assert cold.objective == warm.objective
 
 
 def root_check_model():
@@ -536,18 +527,18 @@ class TestLazy:
         the root check that follows closes every open node, the grown node
         included, so the search ends."""
         lps = []  # per node LP: (after growth, at the root's bounds)
-        for name in ("_warm_node_lp", "_cold_node_lp"):
+        real = milp._warm_node_lp
 
-            def spy(c, model, resume=False, real=getattr(milp, name)):
-                solve_node = real(c, model, resume)
+        def spy(c, model, resume=False):
+            solve_node = real(c, model, resume)
 
-                def node(lb, ub, prune_at):
-                    lps.append((resume, list(lb) == model.lb and list(ub) == model.ub))
-                    return solve_node(lb, ub, prune_at)
+            def node(lb, ub, prune_at):
+                lps.append((resume, list(lb) == model.lb and list(ub) == model.ub))
+                return solve_node(lb, ub, prune_at)
 
-                return node
+            return node
 
-            monkeypatch.setattr(milp, name, spy)
+        monkeypatch.setattr(milp, "_warm_node_lp", spy)
         m, rows, held, hook = root_check_model()
         out = m.solve(lazy=hook)
         assert lps[0] == (False, True) and (True, True) not in lps[:-1]
@@ -657,11 +648,9 @@ class TestCutoff:
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_node_lps_stop_at_the_threshold(self, monkeypatch, integral):
-        """On the warm path a node LP stops once its dual objective shows it
-        cannot beat the prune threshold; status and objective stay those of
-        the ``linprog`` path, which prunes after the LP."""
-        if milp._highs is None:
-            pytest.skip("scipy's HiGHS binding is not importable")
+        """A node LP stops once its dual objective shows it cannot beat the
+        prune threshold; the solve still finds the optimum when the cutoff is
+        below it, and nothing when the cutoff is at or above it."""
         stopped = []
         real = milp._warm_node_lp
 
@@ -682,12 +671,10 @@ class TestCutoff:
             m, obj, rows = random_knapsack(rng, 8)
             m.integral_objective = integral
             expected = enumerate_optimum(m, obj, rows)
-            for cutoff in (expected - 1, expected, expected + 1):
-                warm = m.solve(cutoff=cutoff)
-                with monkeypatch.context() as cold_path:
-                    cold_path.setattr(milp, "_highs", None)
-                    cold = m.solve(cutoff=cutoff)
-                assert (warm.status, warm.objective) == (cold.status, cold.objective)
+            out = m.solve(cutoff=expected - 1)
+            assert (out.status, out.objective) == (SolveStatus.OPTIMAL, expected)
+            for cutoff in (expected, expected + 1):
+                assert m.solve(cutoff=cutoff).status is SolveStatus.INFEASIBLE
         assert any(stopped), "no node LP stopped at the threshold"
 
     def test_repeated_solves_are_identical(self, lp_path):
@@ -701,21 +688,6 @@ class TestCutoff:
                 grow_block(m, rng, obj, rows)
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch):
-    """The loader starts as in a new process whose file lookup finds nothing,
-    and the package import yields the stand-in module returned.
-
-    scipy's package is imported first, while milp's binding is registered,
-    so dropping the binding from ``sys.modules`` loads nothing twice."""
-    package = importlib.import_module("scipy.optimize._highspy")
-    monkeypatch.delitem(sys.modules, milp._CORE)
-    monkeypatch.setattr(milp, "_core_file", lambda: None)
-    stand_in = types.ModuleType(milp._CORE)
-    monkeypatch.setattr(package, "_core", stand_in, raising=False)
-    return stand_in
-
-
 class TestLoadHighs:
     def test_registered_binding_is_reused(self, monkeypatch):
         stand_in = types.ModuleType(milp._CORE)
@@ -723,56 +695,35 @@ class TestLoadHighs:
         monkeypatch.setattr(milp, "_core_file", lambda: pytest.fail("file lookup"))
         assert milp._load_highs() is stand_in
 
-    def test_no_file_takes_the_package_import(self, fresh_loader):
-        assert milp._load_highs() is fresh_loader
-
-    def test_unloadable_file_takes_the_package_import(
-        self, fresh_loader, monkeypatch, tmp_path
-    ):
-        broken = tmp_path / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
-        broken.write_bytes(b"not a shared library")
-        monkeypatch.setattr(milp, "_core_file", lambda: str(broken))
-        assert milp._load_highs() is fresh_loader
+    @pytest.mark.parametrize("found", ["no file", "unloadable file"])
+    def test_missing_binding_names_the_floor(self, monkeypatch, tmp_path, found):
+        """Without a binding that loads, the loader raises ``ImportError``
+        naming pyproject.toml's scipy floor, and registers nothing."""
+        path = None
+        if found == "unloadable file":
+            broken = tmp_path / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            broken.write_bytes(b"not a shared library")
+            path = str(broken)
+        monkeypatch.delitem(sys.modules, milp._CORE)
+        monkeypatch.setattr(milp, "_core_file", lambda: path)
+        floor = re.search(r'"(scipy>=[0-9.]+)"', PYPROJECT.read_text()).group(1)
+        with pytest.raises(ImportError, match=re.escape(floor)):
+            milp._load_highs()
         assert milp._CORE not in sys.modules
 
-    def test_no_binding_solves_with_linprog(self, fresh_loader, monkeypatch):
-        # None in sys.modules makes the package import raise ImportError
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
-        highs = milp._load_highs()
-        assert highs is None
-        monkeypatch.setattr(milp, "_highs", highs)
-        calls = counting_linprog(monkeypatch)
-        rng = random.Random(5)
-        for _ in range(20):
-            m, obj, rows = random_model(rng)
-            expected = enumerate_optimum(m, obj, rows)
-            out = m.solve()
-            if expected is None:
-                assert out.status is SolveStatus.INFEASIBLE
-            else:
-                assert out.int_objective() == expected
-        assert calls[0] > 0
 
-
-def counting_linprog(monkeypatch):
-    """Wrap ``milp.linprog`` as a tracer does; returns the one-item call count."""
-    calls = [0]
-    real = milp.linprog
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(milp, "linprog", counting)
-    return calls
-
-
-def test_cold_path_calls_linprog_through_the_module(monkeypatch):
-    """perfbench's tracer times the cold path by patching ``milp.linprog``."""
-    monkeypatch.setattr(milp, "_highs", None)
-    calls = counting_linprog(monkeypatch)
+def test_cold_path_calls_linprog_through_the_module():
+    """``milp.linprog`` stays as the name perfbench's tracer patches, though
+    no solve calls it now: a cold ``scipy.optimize.linprog`` call through it
+    still works beside the binding robustkep loaded from its file, and its
+    LP relaxation bounds the integer optimum that ``MilpModel.solve`` finds."""
     m = MilpModel("max")
     a, b = m.add_variable(obj=2), m.add_variable(obj=3)
     m.add_row([(a, 1.0), (b, 1.0)], LESS_EQUAL, 1)
-    assert m.solve().int_objective() == 3
-    assert calls[0] > 0
+    res = milp.linprog(
+        [-2.0, -3.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], bounds=[(0, 1)] * 2,
+        method="highs",
+    )
+    assert res.status == 0
+    assert -res.fun == m.solve().int_objective() == 3
+    assert sys.modules[milp._CORE] is milp._highs

@@ -238,8 +238,6 @@ class TestSolveRobust:
         the attacker's tree as its own limit would: every node LP that ran,
         the master's, the attacker's and the recourse's, counts in
         ``bb_nodes``."""
-        if milp._highs is None:
-            pytest.skip("scipy's HiGHS binding is not importable")
         node_lps = []
         real_node_lp, real_recourse = milp._warm_node_lp, solvers._recourse
         calls = itertools.count(1)
@@ -459,17 +457,33 @@ class TestCutoffPaths:
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_cold_path_agrees(self, monkeypatch, cutoff_paths, method):
+        """Robust values do not depend on warm starts: with every node LP
+        started from a cleared solver, the values match the warm run's."""
         cells = [(seed, policy) for seed in (0, 1, 2) for policy in ALL_POLICIES]
         cfgs = [RobustConfig(3, 3, 2, policy, subproblem_method=method)
                 for _, policy in cells]
         warm = [solve_robust(small_instance(seed), cfg).value
                 for (seed, _), cfg in zip(cells, cfgs)]
-        monkeypatch.setattr(milp, "_highs", None)
+        real_node_lp = milp._warm_node_lp
+        cold_lps = []
+
+        def cold_node_lp(c, model, resume=False):
+            solve_node = real_node_lp(c, model, resume)
+
+            def node(lb, ub, prune_at):
+                model._lp.clearSolver()
+                cold_lps.append(1)
+                return solve_node(lb, ub, prune_at)
+
+            return node
+
+        monkeypatch.setattr(milp, "_warm_node_lp", cold_node_lp)
         cutoff_paths.clear()
         cold = [solve_robust(small_instance(seed), cfg).value
                 for (seed, _), cfg in zip(cells, cfgs)]
         assert cold == warm
-        assert cutoff_paths["max"] >= 1  # the linprog path saw cutoffs too
+        assert cold_lps
+        assert cutoff_paths["max"] >= 1  # the cold node LPs saw cutoffs too
 
 
 class TestSubproblemSolvers:
@@ -597,8 +611,7 @@ class TestSubproblemSolvers:
     def test_bb_scores_on_one_model(self, monkeypatch, policy, budget):
         """bb re-bounds one recourse model per call from attack to attack:
         every value it scores is exact, so no bound of an earlier attack
-        survives, and the cold LP path scores the same attacks to the same
-        result."""
+        survives."""
         scored = []
         real = solvers._attack_value
 
@@ -607,22 +620,16 @@ class TestSubproblemSolvers:
             return scored[-1][1]
 
         monkeypatch.setattr(solvers, "_attack_value", recording)
-        warm_highs = milp._highs
         rebounded = 0  # the attacks scored after another one in the same call
         for seed in range(8):
             g = generate_instance(6 + seed % 4, 1 + seed % 2, 0.35, seed=seed)
             pool = build_pool(g, 3, 3)
             x = max_coverage_plan(pool)
-            runs = []
-            for highs in (warm_highs, None):
-                monkeypatch.setattr(milp, "_highs", highs)
-                scored.clear()
-                result = solve_attack_subproblem_bb(x, pool, policy, budget)
-                runs.append((list(scored), result))
-            rebounded += len(runs[0][0]) - 1
-            for u, val in runs[0][0]:
+            scored.clear()
+            solve_attack_subproblem_bb(x, pool, policy, budget)
+            rebounded += len(scored) - 1
+            for u, val in scored:
                 assert val == brute_force_recourse(x, u, pool, g, policy)
-            assert runs[0] == runs[1]
         assert rebounded >= 8
 
     def test_bb_two_cycle_dies(self):

@@ -3,7 +3,7 @@
 ``robustkep.milp`` loads scipy's HiGHS binding from its file, so importing
 robustkep imports no ``scipy.optimize``, and the binding stays one module
 object whichever of robustkep and ``scipy.optimize`` is imported first.
-The loader's fallbacks are tested in ``test_milp.py``.
+A scipy without the binding fails the import; ``test_milp.py`` tests that.
 """
 
 import os
