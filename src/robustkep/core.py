@@ -12,8 +12,7 @@ exchange's vertices) lie in G - u, the graph an attack u leaves.
 ``ExchangePool`` is the one index of an instance that every model builder
 reads: the graph it was enumerated from, the exchanges through each vertex,
 and the PICEF arcs derived from the pool's own chains on first use, looked up
-by head or tail (and position) and by graph arc, with the graph arcs they lie
-on.
+by head or tail (and position).
 
 The fix-successful-exchanges (FSE) policy rests on one rule, written once in
 ``_kept``: an attack keeps a planned cycle only if the cycle is untouched, and
@@ -239,10 +238,9 @@ class ExchangePool:
     contains j, cycles before chains.  ``picef_arcs`` holds every (arc,
     position) on the pool's chains, ordered by (pos, src, dst): for a pool of
     all chains with up to L arcs, ``picef_positions(graph, L)``.  The
-    ``arcs_*`` methods look them up by head or tail (and position) and arc;
-    ``chain_arcs`` lists the graph arcs they lie on, in ``graph.arcs`` order.
-    The PICEF arcs and their lookup are built on first use, so a CC solve
-    never builds them.
+    ``arcs_*`` methods look them up by head or tail (and position).  The
+    PICEF arcs and their lookup are built on first use: only an FR PICEF
+    master reads them, so CC and FSE solves never build them.
     """
 
     graph: CompatibilityGraph
@@ -274,22 +272,15 @@ class ExchangePool:
         return sorted(found, key=lambda a: (a.pos, a.src, a.dst))
 
     @cached_property
-    def _arc_maps(self) -> Tuple[dict, dict, dict]:
-        """The PICEF arcs by (head or tail, position or None) and by arc."""
-        into, out, on = {}, {}, {}
+    def _arc_maps(self) -> Tuple[dict, dict]:
+        """The PICEF arcs by (head or tail, position or None)."""
+        into, out = {}, {}
         for a in self.picef_arcs:
             into.setdefault((a.dst, None), []).append(a)
             into.setdefault((a.dst, a.pos), []).append(a)
             out.setdefault((a.src, None), []).append(a)
             out.setdefault((a.src, a.pos), []).append(a)
-            on.setdefault((a.src, a.dst), []).append(a)
-        return into, out, on
-
-    @cached_property
-    def chain_arcs(self) -> List[Arc]:
-        """The graph arcs some PICEF arc lies on, in ``graph.arcs`` order."""
-        on = self._arc_maps[2]
-        return [arc for arc in self.graph.arcs if arc in on]
+        return into, out
 
     def __len__(self) -> int:
         return len(self.exchanges)
@@ -314,10 +305,6 @@ class ExchangePool:
     def arcs_out_of(self, i: int, pos: Optional[int] = None) -> List[PicefArc]:
         """PICEF arcs leaving i, only those at position ``pos`` if given."""
         return self._arc_maps[1].get((i, pos), [])
-
-    def arcs_on(self, i: int, j: int) -> List[PicefArc]:
-        """PICEF arcs over the graph arc (i, j), one per position."""
-        return self._arc_maps[2].get((i, j), [])
 
 
 def build_pool(graph: CompatibilityGraph, K: int, L: int) -> ExchangePool:

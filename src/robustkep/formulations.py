@@ -7,6 +7,11 @@ encoding, and the recourse problems used to separate those cuts (plain and
 lifted), for both recourse policies.  The recourse is one CC model for
 either encoding: the pool holds every chain up to the length limit, so it is
 exact, and the PICEF attacker takes the chains of its solutions as arc terms.
+The FSE master is the CC master for either encoding too: its blocks must
+know which plan chain still holds a vertex under an attack, and the pool's
+chain variables say so directly, where PICEF arcs would need a linearised
+AND per arc, which made the master several times costlier and its bound
+weaker.
 
 Master attack blocks and plain recourse models are built on G - u, the graph
 an attack u leaves: variables only for the exchanges and arcs u does not hit.
@@ -15,11 +20,10 @@ FSE recourse is the FR recourse on the vertices the enforced structures
 leave free, plus those structures.
 
 Every builder reads the instance through its exchange pool alone: the
-exchanges through each vertex, the PICEF arcs by head or tail (and position)
-and by graph arc, the graph arcs they lie on, and the adjacency lists of the
-graph the pool was enumerated from.  The builders share a few row helpers:
-the cover of a vertex in either encoding, precedence (at-most) rows, and the
-attacker's survival rows.
+exchanges through each vertex, the PICEF arcs by head or tail (and position),
+and the graph the pool was enumerated from.  The builders share a few row
+helpers: the cover of a vertex in either encoding, precedence (at-most) rows,
+and the attacker's survival rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 from .core import (
     Arc,
     Attack,
-    CompatibilityGraph,
     Exchange,
     ExchangeKind,
     ExchangePool,
@@ -112,17 +115,6 @@ def _cover(
     return cover
 
 
-def _arc_cover(
-    graph: CompatibilityGraph, j: int, arc_vars: Dict[Arc, int]
-) -> List[int]:
-    """Graph-arc variables that use vertex j: arcs into pair j, out of NDD j."""
-    if graph.is_ndd(j):
-        arcs = [(j, k) for k in graph.out_adj[j]]
-    else:
-        arcs = [(i, j) for i in graph.in_adj[j]]
-    return [arc_vars[a] for a in arcs if a in arc_vars]
-
-
 def _at_most(model: MilpModel, lhs: List[int], rhs: List[int]) -> None:
     """Row sum(lhs) <= sum(rhs), none when ``lhs`` is empty: the precedence
     rows (a vertex passes a chain on only if it got one) and linking rows."""
@@ -199,11 +191,17 @@ def build_master(
 ) -> MasterHandle:
     """Restricted master z_Pi(U-bar) over the given attack set.
 
+    Under FSE this is the CC master whatever ``encoding`` says, and the
+    handle records CC (the module docstring says why); FR keeps the PICEF
+    master, which solves faster there.
+
     Seed with at least the zero attack; an empty attack set leaves Z
     unbounded by any block and is rejected.
     """
     if not attacks:
         raise ValueError("master needs at least one attack (seed with the zero attack)")
+    if policy is Policy.FIX_SUCCESSFUL:
+        encoding = Encoding.CC
     model = MilpModel("max", integral_objective=True)
     z_var = model.add_variable(CONTINUOUS, 0.0, pool.graph.num_pairs, obj=1.0)
     picef = encoding is Encoding.PICEF
@@ -230,7 +228,9 @@ def extend_master_with_attack(master: MasterHandle, u: Attack) -> MasterHandle:
 def _attack_block(master: MasterHandle, u: Attack) -> None:
     """Recourse solution under u, on G - u: y (and psi in PICEF) for the
     structures and arcs u leaves intact; z_j <= 1 when unattacked pair j is
-    covered by both it and the initial solution, and Z <= sum of z."""
+    covered by both it and the initial solution, and Z <= sum of z.  Under
+    FSE, always on a CC master, the plan's exchange variables cover each
+    vertex their kept part holds, as ``enforcers`` reads them off x."""
     model, pool, graph = master.model, master.pool, master.pool.graph
     fse = master.policy is Policy.FIX_SUCCESSFUL
     picef = master.encoding is Encoding.PICEF
@@ -243,7 +243,6 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
     psi_vars = {a: model.add_variable(BINARY) for a in arcs}
     pairs = [j for j in graph.pairs if u.spares(j)]
     z_vars = {j: model.add_variable(CONTINUOUS, 0.0, 1.0) for j in pairs}
-    beta_vars = _picef_beta(master, u) if fse and picef else {}
 
     _at_most(model, [master.z_var], list(z_vars.values()))
     for j, z in z_vars.items():
@@ -251,7 +250,6 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
 
     for j in range(graph.num_vertices):
         cover = [master.x_vars[i] for i in held.get(j, ())]
-        cover += _arc_cover(graph, j, beta_vars)
         cover += _cover(pool, j, y_vars, psi_vars)
         if j in z_vars:
             _at_most(model, [z_vars[j]], cover)
@@ -259,29 +257,6 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
             model.add_row([(v, 1.0) for v in cover], LESS_EQUAL, 1.0)
     if picef:
         _position_rows(model, pool, psi_vars)
-
-
-def _picef_beta(master: MasterHandle, u: Attack) -> Dict[Arc, int]:
-    """FSE PICEF: beta_ij for each arc (i,j) of G - u that some PICEF arc lies
-    on, with rows pinning it to 1 exactly when (i,j) lies on an initial chain
-    whose prefix up to j has no attacked vertex.  Any other arc carries no
-    chain, so its beta would be 0."""
-    model, pool, graph = master.model, master.pool, master.pool.graph
-    beta_vars = {arc: model.add_variable(BINARY) for arc in pool.chain_arcs if u.spares(*arc)}
-    for (i, j), b in beta_vars.items():
-        # an NDD's arcs only sit at position 1, so for it these are the first arcs
-        xi = [(master.xi_vars[a], -1.0) for a in pool.arcs_on(i, j)]
-        model.add_row([(b, 1.0)] + xi, LESS_EQUAL, 0.0)
-        if graph.is_ndd(i):
-            model.add_row([(b, 1.0)] + xi, GREATER_EQUAL, 0.0)
-        else:
-            pred = [(v, -1.0) for v in _arc_cover(graph, i, beta_vars)]
-            model.add_row([(b, 1.0)] + xi + pred, GREATER_EQUAL, -1.0)
-    # a pair passes a chain on only if it got one
-    for j in graph.pairs:
-        out = [beta_vars[(j, k)] for k in graph.out_adj[j] if (j, k) in beta_vars]
-        _at_most(model, out, _arc_cover(graph, j, beta_vars))
-    return beta_vars
 
 
 def _chosen(x: Sequence[float], var_map: Dict) -> List:

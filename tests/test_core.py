@@ -115,10 +115,6 @@ class TestEnumeration:
                         assert pool.arcs_out_of(v, pos) == [
                             a for a in arcs if a.src == v and a.pos == pos
                         ]
-                for (i, j) in graph.arcs:
-                    assert pool.arcs_on(i, j) == [
-                        a for a in arcs if (a.src, a.dst) == (i, j)
-                    ]
         assert positions == {1, 2, 3, 4}
 
 
@@ -158,7 +154,7 @@ class TestPool:
         ]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_chain_arcs_and_arcs_into_by_position(self, seed):
+    def test_arcs_into_by_position(self, seed):
         rng = random.Random(f"pool-index/{seed}")
         graph = generate_instance(
             rng.randint(3, 8), rng.randint(1, 3), rng.uniform(0.2, 0.6), seed=seed
@@ -166,7 +162,6 @@ class TestPool:
         for L in range(0, 5):
             pool = build_pool(graph, 3, L)
             assert pool.graph is graph
-            assert pool.chain_arcs == [a for a in graph.arcs if pool.arcs_on(*a)]
             for j in range(graph.num_vertices):
                 for pos in range(0, L + 2):
                     assert pool.arcs_into(j, pos) == [

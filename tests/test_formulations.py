@@ -330,8 +330,8 @@ class TestBuiltOnGMinusU:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_variables_avoid_attacked_vertices(self, policy, encoding):
         rng = random.Random(f"g-u/{policy.value}/{encoding.value}")
-        picef = encoding is Encoding.PICEF
         fse = policy is Policy.FIX_SUCCESSFUL
+        picef = encoding is Encoding.PICEF and not fse  # an FSE master is CC
         for trial in range(6):
             graph = generate_instance(
                 rng.randint(5, 8), rng.randint(1, 2), 0.35, seed=rng.randint(0, 9999)
@@ -366,11 +366,7 @@ class TestBuiltOnGMinusU:
             before = master.model.num_variables
             extend_master_with_attack(master, u)
             pairs = [j for j in graph.pairs if j not in u.attacked]
-            # FSE PICEF beta only on the arcs of G - u that a PICEF arc lies on
-            beta = {
-                (i, j) for (i, j) in graph.arcs if spared(i, j) and pool.arcs_on(i, j)
-            } if fse and picef else set()
-            added = len(kept) + len(arcs) + len(pairs) + len(beta)
+            added = len(kept) + len(arcs) + len(pairs)
             assert master.model.num_variables - before == added
 
 
@@ -395,9 +391,48 @@ class TestPicefIndexOnFirstUse:
             rec = build_recourse(x, u, pool, policy, lifted)
             extract_cut_solution(rec, rec.model.solve())
         assert "picef_arcs" not in vars(pool)
-        # a PICEF model builds it on first use
-        build_master(pool, policy, Encoding.PICEF, [u])
+        if policy is Policy.FIX_SUCCESSFUL:
+            # nor does an FSE PICEF solve: its master is CC, and its attacker
+            # takes chains as arc terms
+            build_master(pool, policy, Encoding.PICEF, [u])
+            sub = build_subproblem(x, pool, policy, Encoding.PICEF, 1)
+            add_interdiction_cut(sub, x)
+            sub.model.solve()
+            assert "picef_arcs" not in vars(pool)
+        # an FR PICEF master builds it on first use
+        build_master(pool, Policy.FULL_RECOURSE, Encoding.PICEF, [u])
         assert "picef_arcs" in vars(pool)
+
+
+class TestFseMasterIsCc:
+    MODEL_ARRAYS = ("lb", "ub", "obj", "binaries", "indptr", "indices", "data",
+                    "row_lo", "row_hi")
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_same_model_as_the_cc_master(self, encoding):
+        """An FSE master is the FSE CC master in either encoding, attack
+        blocks included; the FR PICEF master keeps its xi columns."""
+        rng = random.Random(f"fse-cc/{encoding.value}")
+        for trial in range(6):
+            graph = generate_instance(
+                rng.randint(5, 9), rng.randint(1, 2), 0.35, seed=rng.randint(0, 9999)
+            )
+            pool = build_pool(graph, 3, 3)
+            attacks = [Attack.of((), 2)] + [
+                Attack.of(rng.sample(range(graph.num_vertices), 2), 2) for _ in range(2)
+            ]
+            attacks = list(dict.fromkeys(attacks))
+            fse = Policy.FIX_SUCCESSFUL
+            master = build_master(pool, fse, encoding, attacks)
+            cc = build_master(pool, fse, Encoding.CC, attacks)
+            assert master.encoding is Encoding.CC
+            assert master.xi_vars == {}
+            assert master.x_vars == cc.x_vars
+            for name in self.MODEL_ARRAYS:
+                assert getattr(master.model, name) == getattr(cc.model, name), name
+            if encoding is Encoding.PICEF:
+                fr = build_master(pool, Policy.FULL_RECOURSE, encoding, attacks)
+                assert set(fr.xi_vars) == set(pool.picef_arcs)
 
 
 class TestWarmMaster:
