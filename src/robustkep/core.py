@@ -14,11 +14,13 @@ reads: the graph it was enumerated from, the exchanges through each vertex,
 and the PICEF arcs derived from the pool's own chains on first use, looked up
 by head or tail (and position).
 
-The fix-successful-exchanges (FSE) policy rests on one rule, written once in
-``_kept``: an attack keeps a planned cycle only if the cycle is untouched, and
-keeps a planned chain's prefix up to its first attacked vertex, provided that
-prefix still holds an arc.  ``enforcers``, ``enforced_under_attack`` and
-``enforceable_set`` all derive from it.
+Both recourse policies rest on one rule, written once in ``_kept``: how much
+of a planned cycle or chain an attack leaves in place.  Full recourse (FR)
+keeps nothing.  Fix-successful-exchanges (FSE) keeps a planned cycle only if
+the cycle is untouched, and a planned chain's prefix up to its first attacked
+vertex, provided that prefix still holds an arc.  ``enforcers``,
+``enforced_under_attack`` and ``enforceable_set`` all derive from it, so under
+FR each returns nothing.
 """
 
 from __future__ import annotations
@@ -99,15 +101,6 @@ class CompatibilityGraph:
         adj: Dict[int, List[int]] = {v: [] for v in range(self.num_vertices)}
         for (i, j) in self.arcs:
             adj[i].append(j)
-        for v in adj:
-            adj[v].sort()
-        return adj
-
-    @cached_property
-    def in_adj(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {v: [] for v in range(self.num_vertices)}
-        for (i, j) in self.arcs:
-            adj[j].append(i)
         for v in adj:
             adj[v].sort()
         return adj
@@ -373,45 +366,51 @@ class Attack:
         return not self.spares(*e.vertices)
 
 
-def _kept(e: Exchange, attacked: Collection[int]) -> int:
-    """The FSE survival rule: how many of ``e``'s leading vertices an attack
-    leaves enforced, 0 for none.
+def _kept(e: Exchange, attacked: Collection[int], policy: Policy) -> int:
+    """The survival rule: how many of ``e``'s leading vertices an attack
+    leaves enforced under ``policy``, 0 for none.
 
-    A cycle is kept only whole.  A chain keeps its vertices before the first
-    attacked one, provided they still hold an arc.
+    FR keeps nothing.  Under FSE a cycle is kept only whole, and a chain
+    keeps its vertices before the first attacked one, provided they still
+    hold an arc.
     """
+    if policy is Policy.FULL_RECOURSE:
+        return 0
     n = next((k for k, v in enumerate(e.vertices) if v in attacked), len(e.vertices))
     if n < 2 or (e.kind is ExchangeKind.CYCLE and n < len(e.vertices)):
         return 0
     return n
 
 
-def enforceable_set(initial: KepSolution, pool: ExchangePool) -> List[Exchange]:
-    """Everything the FSE rule can keep of the initial exchanges under some
-    attack: the initial cycles and every prefix of an initial chain that ends
-    at a pair.
+def enforceable_set(
+    initial: KepSolution, pool: ExchangePool, policy: Policy
+) -> List[Exchange]:
+    """Everything the rule can keep of the initial exchanges under some
+    attack: nothing under FR; under FSE the initial cycles and every prefix of
+    an initial chain that ends at a pair.
 
     Exchanges carry their pool index.  Deterministic order (by pool index).
     """
     found: Set[int] = set()
     for e in initial.exchanges(pool):
         attacks = [()] + [(v,) for v in e.vertices]  # none, or one vertex
-        for n in {_kept(e, a) for a in attacks} - {0}:
+        for n in {_kept(e, a, policy) for a in attacks} - {0}:
             found.add(pool.index_of(Exchange(e.kind, e.vertices[:n])))
     return [pool.exchange(i) for i in sorted(found)]
 
 
 def enforcers(
-    pool: ExchangePool, indices: Iterable[int], u: Attack
+    pool: ExchangePool, indices: Iterable[int], u: Attack, policy: Policy
 ) -> Dict[int, List[int]]:
-    """Per vertex j, the given exchanges whose part kept by the FSE rule under
-    u still holds j, in the order given: untouched cycles, and chains whose
-    prefix up to j (at least the first arc) has no attacked vertex.
+    """Per vertex j, the given exchanges whose part kept by the rule under u
+    still holds j, in the order given: none under FR; under FSE untouched
+    cycles, and chains whose prefix up to j (at least the first arc) has no
+    attacked vertex.
     """
     held: Dict[int, List[int]] = {}
     for i in indices:
         e = pool.exchange(i)
-        for j in e.vertices[: _kept(e, u.attacked)]:
+        for j in e.vertices[: _kept(e, u.attacked, policy)]:
             held.setdefault(j, []).append(i)
     return held
 
@@ -427,14 +426,15 @@ def arc_weight(dst: int, initial_pairs: Set[int]) -> int:
 
 
 def enforced_under_attack(
-    initial: KepSolution, u: Attack, pool: ExchangePool
+    initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy
 ) -> List[Exchange]:
-    """Structures the FSE policy fixes into the recourse solution under u:
-    unattacked initial cycles and each initial chain's longest unattacked prefix.
+    """Structures the policy fixes into the recourse solution under u: none
+    under FR; under FSE unattacked initial cycles and each initial chain's
+    longest unattacked prefix.
     """
     enforced: List[Exchange] = []
     for e in initial.exchanges(pool):
-        n = _kept(e, u.attacked)
+        n = _kept(e, u.attacked, policy)
         if n:
             kept = Exchange(e.kind, e.vertices[:n])
             enforced.append(pool.exchange(pool.index_of(kept)))

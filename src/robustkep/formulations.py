@@ -232,10 +232,9 @@ def _attack_block(master: MasterHandle, u: Attack) -> None:
     FSE, always on a CC master, the plan's exchange variables cover each
     vertex their kept part holds, as ``enforcers`` reads them off x."""
     model, pool, graph = master.model, master.pool, master.pool.graph
-    fse = master.policy is Policy.FIX_SUCCESSFUL
     picef = master.encoding is Encoding.PICEF
-    # FSE: the plan's own structures (x) that u leaves holding each vertex
-    held = enforcers(pool, master.x_vars, u) if fse else {}
+    # the plan's own structures (x) that u leaves holding each vertex
+    held = enforcers(pool, master.x_vars, u, master.policy)
 
     structures = pool.cycles if picef else pool.exchanges
     y_vars = {e.index: model.add_variable(BINARY) for e in structures if not u.hits(e)}
@@ -299,7 +298,7 @@ class SubproblemHandle:
     z_var: int
     u_vars: Dict[int, int]
     z_vars: Dict[int, int]
-    # FSE: pool indices of the exchanges the FSE rule can keep of the plan
+    # pool indices of the exchanges the policy can keep of the plan (FR: none)
     enforceable: Set[int]
     zeta_vars: Dict[int, Dict[Arc, int]] = field(default_factory=dict)  # by pool index
     t_vars: Dict[int, int] = field(default_factory=dict)
@@ -316,7 +315,7 @@ def build_subproblem(
 
     fse = policy is Policy.FIX_SUCCESSFUL
     picef = encoding is Encoding.PICEF
-    enf_idx = {e.index for e in enforceable_set(initial, pool)} if fse else set()
+    enf_idx = {e.index for e in enforceable_set(initial, pool, policy)}
     sub = SubproblemHandle(
         model, pool, policy, encoding, budget,
         initial.initial_pairs(pool), z_var, u_vars, {}, enf_idx,
@@ -425,7 +424,7 @@ class RecourseHandle:
     pool: ExchangePool
     u: Attack
     initial_pairs: Set[int]
-    # FSE: the plan structures u leaves intact; kept outside the model
+    # the plan structures the policy keeps under u (FR: none); outside the model
     enforced: List[Exchange]
     y_vars: Dict[int, int]  # by pool index
 
@@ -448,11 +447,7 @@ def build_recourse(
     leave free, and ``extract_cut_solution`` adds those structures back.
     """
     initial_pairs = initial.initial_pairs(pool)
-    enforced = (
-        enforced_under_attack(initial, u, pool)
-        if policy is Policy.FIX_SUCCESSFUL
-        else []
-    )
+    enforced = enforced_under_attack(initial, u, pool, policy)
     taken = {v for e in enforced for v in e.vertices}
     model = MilpModel("max", integral_objective=True)
     nv = pool.graph.num_vertices

@@ -357,11 +357,7 @@ def _attack_value(
     spares are turned back on, and ``off`` ends holding u's."""
     t0 = time.perf_counter()
     pool, model = rec.pool, rec.model
-    enforced = (
-        enforced_under_attack(initial, u, pool)
-        if policy is Policy.FIX_SUCCESSFUL
-        else []
-    )
+    enforced = enforced_under_attack(initial, u, pool, policy)
     blocked = u.attacked.union(*(e.vertices for e in enforced))
     now = {i for v in blocked for i in pool.involving(v)}
     for i in off - now:
@@ -398,10 +394,9 @@ def brute_force_recourse(
     initial_pairs = initial.initial_pairs(pool)
     base = 0
     blocked: Set[int] = set()
-    if policy is Policy.FIX_SUCCESSFUL:
-        for e in enforced_under_attack(initial, u, pool):
-            base += exchange_weight(e, initial_pairs)
-            blocked.update(e.vertices)
+    for e in enforced_under_attack(initial, u, pool, policy):
+        base += exchange_weight(e, initial_pairs)
+        blocked.update(e.vertices)
     cands = [
         (exchange_weight(e, initial_pairs), tuple(e.vertices))
         for e in pool.exchanges

@@ -52,16 +52,22 @@ def test_variants_agree(num_vertices, num_ndds, density, budget, seed):
 
 
 def test_variants_agree_at_30_vertices():
-    """A fixed 30-vertex budget-3 FSE instance, past the hypothesis range:
-    every variant proves the same value and its worst attack replays."""
+    """A fixed 30-vertex budget-3 instance, past the hypothesis range: under
+    each policy every variant proves the same value, each worst attack
+    replays, and fix-successful never beats full recourse."""
     graph = generate_instance(27, 3, 0.1, seed=0)
     pool = build_pool(graph, 3, 3)
-    policy = Policy.FIX_SUCCESSFUL
-    for encoding, method, lifting in VARIANTS:
-        cfg = RobustConfig(
-            3, 3, 3, policy=policy, encoding=encoding,
-            subproblem_method=method, lifting=lifting,
-        )
-        r = solve_robust(graph, cfg)
-        assert (r.status, r.value) == ("optimal", 12)
-        assert brute_force_recourse(r.initial, r.worst_attack, pool, graph, policy) == 12
+    expected = {Policy.FULL_RECOURSE: 14, Policy.FIX_SUCCESSFUL: 12}
+    value = {}
+    for policy, want in expected.items():
+        for encoding, method, lifting in VARIANTS:
+            cfg = RobustConfig(
+                3, 3, 3, policy=policy, encoding=encoding,
+                subproblem_method=method, lifting=lifting,
+            )
+            r = solve_robust(graph, cfg)
+            assert (r.status, r.value) == ("optimal", want)
+            replay = brute_force_recourse(r.initial, r.worst_attack, pool, graph, policy)
+            assert replay == want
+            value[policy] = r.value
+    assert value[Policy.FIX_SUCCESSFUL] <= value[Policy.FULL_RECOURSE]

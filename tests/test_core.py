@@ -61,7 +61,6 @@ class TestCompatibilityGraph:
 
     def test_adjacency(self):
         assert CHAIN_GRAPH.out_adj[1] == [2]
-        assert CHAIN_GRAPH.in_adj[1] == [0, 2]
 
 
 class TestEnumeration:
@@ -218,16 +217,21 @@ class TestSolutionAndAttack:
 
 
 class TestFixSuccessfulConstructs:
-    def test_rule_matches_definitions_on_random_graphs(self):
-        """One FSE rule behind all three helpers, checked against definitions
-        written out here: a cycle survives only whole, and a chain keeps each
-        prefix that ends at a pair and has no attacked vertex."""
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_rule_matches_definitions_on_random_graphs(self, policy):
+        """One rule behind all three helpers, checked against definitions
+        written out here: FR keeps nothing, so every helper returns empty on
+        every plan and attack; under FSE a cycle survives only whole, and a
+        chain keeps each prefix that ends at a pair and has no attacked
+        vertex."""
 
         def prefixes(g, e):
             vs = e.vertices
             return [vs[:k] for k in range(1, len(vs) + 1) if g.is_pair(vs[k - 1])]
 
         def kept(g, e, attacked):
+            if policy is Policy.FULL_RECOURSE:
+                return []
             if e.kind is ExchangeKind.CYCLE:
                 untouched = not set(e.vertices) & attacked
                 return [e.vertices] if untouched else []
@@ -260,9 +264,9 @@ class TestFixSuccessfulConstructs:
                     e = pool.exchange(i)
                     for j in {j for p in kept(g, e, u.attacked) for j in p}:
                         expected.setdefault(j, []).append(i)
-                assert enforcers(pool, indices, u) == expected
+                assert enforcers(pool, indices, u, policy) == expected
             for x in initials:
-                enf = enforceable_set(x, pool)
+                enf = enforceable_set(x, pool, policy)
                 # with no attack, every structure the rule can keep is kept
                 assert [e.index for e in enf] == sorted(
                     pool.index_of(Exchange(e.kind, p))
@@ -270,7 +274,7 @@ class TestFixSuccessfulConstructs:
                     for p in kept(g, e, set())
                 )
                 for u in attacks:
-                    got = enforced_under_attack(x, u, pool)
+                    got = enforced_under_attack(x, u, pool, policy)
                     want = [
                         (e.kind, max(kept(g, e, u.attacked), key=len))
                         for e in x.exchanges(pool)
@@ -282,7 +286,7 @@ class TestFixSuccessfulConstructs:
     def test_enforceable_set(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
-        enf = enforceable_set(KepSolution.of([full]), pool)
+        enf = enforceable_set(KepSolution.of([full]), pool, Policy.FIX_SUCCESSFUL)
         assert [e.vertices for e in enf] == [(3, 0), (3, 0, 1), (3, 0, 1, 2)]
         assert all(e.index >= 0 for e in enf)
 
@@ -290,7 +294,7 @@ class TestFixSuccessfulConstructs:
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         full = pool.index_of(Exchange(ExchangeKind.CHAIN, (3, 0, 1, 2)))
         enforced = enforced_under_attack(
-            KepSolution.of([full]), Attack.of([2], 1), pool
+            KepSolution.of([full]), Attack.of([2], 1), pool, Policy.FIX_SUCCESSFUL
         )
         assert [e.vertices for e in enforced] == [(3, 0, 1)]
 
@@ -301,7 +305,9 @@ class TestFixSuccessfulConstructs:
             for vs in ((3, 0), (3, 0, 1), (3, 0, 1, 2))
         )
         cycle = pool.index_of(Exchange(ExchangeKind.CYCLE, (1, 2)))
-        held = enforcers(pool, [full, cycle, second, first], Attack.of([2], 1))
+        held = enforcers(
+            pool, [full, cycle, second, first], Attack.of([2], 1), Policy.FIX_SUCCESSFUL
+        )
         # the hit cycle holds nothing; each chain holds the vertices before
         # the hit, listed in the order given
         assert held == {

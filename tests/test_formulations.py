@@ -260,7 +260,7 @@ class TestRecourse:
             sol, value = extract_cut_solution(rec, out)
             assert sol.is_feasible(pool)
             assert value == brute_force_recourse(x, u, pool, graph, policy)
-            kept = enforced_under_attack(x, u, pool) if policy is Policy.FIX_SUCCESSFUL else []
+            kept = enforced_under_attack(x, u, pool, policy)
             assert {e.index for e in kept} <= sol.selected
             # the cut from this solution is tight at u, so a cut round that
             # finds r > z_sub always raises z_sub at u
@@ -344,7 +344,7 @@ class TestBuiltOnGMinusU:
                 return i not in u.attacked and j not in u.attacked
 
             taken = set()
-            for e in enforced_under_attack(x, u, pool) if fse else ():
+            for e in enforced_under_attack(x, u, pool, policy):
                 taken.update(e.vertices)
 
             def free(*vertices):
