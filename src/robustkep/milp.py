@@ -5,14 +5,18 @@ deterministic depth-first branch-and-bound on fractional binaries.  Rows are
 stored once, as they are added, in the compressed-sparse-row form the LP
 takes (column indices, coefficients and row starts, plus a lower and an upper
 bound per row), and can be appended between solves (lazy cuts);
-``set_bounds`` changes a variable's column bounds.
+``set_bounds`` changes a variable's column bounds and ``set_objective`` its
+cost.  The costs and column bounds are kept as arrays between solves, made
+again only after columns were added; the setters write the entries they
+change.
 
 The model owns one HiGHS LP, made empty by its first solve.  Every solve
 appends the columns and rows the LP does not hold yet (``addCols``/
 ``addRows``), so a new model and a grown one are filled the same way.
 Nodes change only column bounds, so the dual simplex restarts from the basis
-the previous node left.  After ``set_bounds`` the root starts from the basis
-the last optimal root ended in; otherwise, and always after the model grew,
+the previous node left.  After ``set_bounds`` or ``set_objective`` the root
+starts from the basis the last optimal root ended in, and new costs reach the
+LP through ``changeColsCost``; otherwise, and always after the model grew,
 it starts cold, from a cleared solver.  Solves stay reproducible: that start
 basis changes only with the model, and the node order is fixed, so
 re-solving an unchanged model replays the same solve, LP iterations
@@ -67,7 +71,7 @@ import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -192,12 +196,14 @@ class MilpModel:
         self.row_lo: List[float] = []
         self.row_hi: List[float] = []
         # the basis the last optimal root LP ended in, and the basis the next
-        # root starts from: a copy of the former, taken only when bounds are
-        # set, so re-solving an unchanged model replays the same solve; growth
-        # clears both, so a grown model's next root starts cold
+        # root starts from: a copy of the former, taken only when bounds or
+        # costs are set, so re-solving an unchanged model replays the same
+        # solve; growth clears both, so a grown model's next root starts cold
         self.root_basis = None
         self.start_basis = None
         self._lp = None  # the HiGHS LP of the warm path, made by its first solve
+        self._columns = None  # the arrays of _column_arrays, until a column is added
+        self._recosted: Set[int] = set()  # columns whose new cost the LP lacks
 
     @property
     def num_variables(self) -> int:
@@ -220,6 +226,7 @@ class MilpModel:
         self.ub.append(float(ub))
         self.obj.append(float(obj))
         self.root_basis = self.start_basis = None
+        self._columns = None
         return len(self.lb) - 1
 
     def add_row(
@@ -243,26 +250,44 @@ class MilpModel:
         self.root_basis = self.start_basis = None
         return self.num_rows - 1
 
-    def set_bounds(self, var: int, lb: float, ub: float) -> None:
+    def _check_handle(self, var: int) -> None:
         if not 0 <= var < self.num_variables:
             raise ValueError(f"invalid variable handle {var}")
+
+    def set_bounds(self, var: int, lb: float, ub: float) -> None:
+        self._check_handle(var)
         if lb > ub:
             raise ValueError(f"lower bound {lb} exceeds upper bound {ub}")
         self.lb[var] = float(lb)
         self.ub[var] = float(ub)
+        if self._columns is not None:
+            self._columns[1][var] = lb
+            self._columns[2][var] = ub
+        self.start_basis = self.root_basis
+
+    def set_objective(self, var: int, obj: float) -> None:
+        """Give ``var`` the cost ``obj``; the next root starts warm, as after
+        ``set_bounds``."""
+        self._check_handle(var)
+        self.obj[var] = float(obj)
+        if self._columns is not None:
+            self._columns[0][var] = -float(obj) if self.sense == "max" else float(obj)
+        self._recosted.add(var)
         self.start_basis = self.root_basis
 
     def _column_arrays(self):
         """The costs in minimization form, the column bounds and the binary
-        columns, as arrays: made at the start of a solve and again when a
-        lazy hook grew the model."""
-        sign = -1.0 if self.sense == "max" else 1.0
-        return (
-            sign * np.asarray(self.obj, dtype=float),
-            np.asarray(self.lb, dtype=float),
-            np.asarray(self.ub, dtype=float),
-            np.array(self.binaries, dtype=np.intp),
-        )
+        columns, as arrays: made when a solve first needs them after columns
+        were added, and kept up to date by the setters otherwise."""
+        if self._columns is None:
+            sign = -1.0 if self.sense == "max" else 1.0
+            self._columns = (
+                sign * np.asarray(self.obj, dtype=float),
+                np.asarray(self.lb, dtype=float),
+                np.asarray(self.ub, dtype=float),
+                np.array(self.binaries, dtype=np.intp),
+            )
+        return self._columns
 
     # -- solving ---------------------------------------------------------
 
@@ -465,12 +490,17 @@ def _live_lp(c, model):
     """The model's HiGHS LP, made empty on first use, with the columns and
     rows it does not hold yet appended: all of them at first, then those the
     model gained since.  Column bounds are left to the nodes; costs and row
-    bounds are set as the columns and rows arrive."""
+    bounds are set as the columns and rows arrive, and the costs
+    ``set_objective`` changed on columns the LP holds are set anew."""
     highs = model._lp
     if highs is None:
         highs = model._lp = _highs._Highs()
         highs.setOptionValue("output_flag", False)
     cols, rows = highs.getNumCol(), highs.getNumRow()
+    recosted = np.array(sorted(j for j in model._recosted if j < cols), dtype=np.int32)
+    if len(recosted):
+        highs.changeColsCost(len(recosted), recosted, c[recosted])
+    model._recosted.clear()
     new = len(c) - cols
     if new:
         # rows are stored rowwise, so the new columns arrive empty

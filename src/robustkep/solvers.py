@@ -183,6 +183,9 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
     no_attack = Attack.of((), cfg.budget)
     master = build_master(pool, cfg.policy, cfg.encoding, [no_attack])
     best = RobustResult(0, KepSolution.empty(), no_attack, "timelimit", stats)
+    rec = None  # bb's recourse model, shared by every plan it attacks
+    if cfg.subproblem_method == METHOD_BB:
+        rec = build_recourse(KepSolution.empty(), no_attack, pool, Policy.FULL_RECOURSE)
 
     def check(x) -> Optional[int]:
         nonlocal best
@@ -194,7 +197,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             )
         else:
             worst = solve_attack_subproblem_bb(
-                x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats,
+                x_bar, pool, cfg.policy, cfg.budget, clock=clock, stats=stats, rec=rec,
             )
         if worst is None:
             return None  # the master stops as on its own limit, its nodes counted
@@ -281,6 +284,7 @@ def solve_attack_subproblem_bb(
     budget: int,
     clock: Optional[_Clock] = None,
     stats: Optional[RobustStats] = None,
+    rec: Optional[RecourseHandle] = None,
 ) -> Optional[Tuple[int, Attack]]:
     """Attack value s(x) and a worst attack by depth-first search, or None
     when ``clock`` runs out, which each node checks.
@@ -290,23 +294,39 @@ def solve_attack_subproblem_bb(
     outside ``a0``, heaviest first with ties in plan order, gives both the
     node's lower bound and its greedy attack ``a1 + [f1..fk]``: the smallest
     unprotected vertex of each open exchange in turn, then the smallest free
-    vertices.  That attack is solved exactly.  Branching is unrolled: child i
-    fixes ``f1..f(i-1)`` attacked and ``fi`` protected, the last explored
-    first, so the attacked child of a two-way branch on ``f1``, which would
-    complete to the same attack, is never solved again.
+    vertices.  That attack is scored.  Branching is unrolled: child i fixes
+    ``f1..f(i-1)`` attacked and ``fi`` protected, the last explored first, so
+    the attacked child of a two-way branch on ``f1``, which would complete to
+    the same attack, is never scored again.
 
-    Every attack is scored on one recourse model, the FR recourse of the
-    whole pool, by bounds alone (``_attack_value``); the search needs only
-    the values, so it does not depend on how they are found.
+    Any recourse solution S bounds the value of every attack u from below:
+    u's enforced weight plus the weight of S's exchanges that avoid what u
+    blocks.  ``known`` holds the distinct solutions found so far, the plan
+    first; an attack one of them shows to be worth at least the incumbent
+    is skipped (``_rules_out``), and every other one is solved exactly
+    (``_attack_value``), its solution joining ``known``.  So the search
+    visits the same nodes and returns the same value and worst attack as
+    one that solved every attack.
+
+    Attacks are solved on one recourse model, ``rec``: the FR recourse of the
+    whole pool, given the plan's weights as costs and each attack by bounds
+    alone.  A robust solve passes the model it built for all its plans; a
+    call without one builds it.
     """
     clock = clock or _Clock(None)
     stats = stats or RobustStats()
     stats.n_subproblems += 1
     initial_pairs = initial.initial_pairs(pool)
-    plan = [(e, exchange_weight(e, initial_pairs)) for e in initial.exchanges(pool)]
+    weight = [exchange_weight(e, initial_pairs) for e in pool.exchanges]
+    plan = [(e, weight[e.index]) for e in initial.exchanges(pool)]
     nv = pool.graph.num_vertices
-    rec = build_recourse(initial, Attack.of((), budget), pool, Policy.FULL_RECOURSE)
-    off: Set[int] = set()  # the exchanges the last scored attack turned off
+    if rec is None:
+        rec = build_recourse(initial, Attack.of((), budget), pool, Policy.FULL_RECOURSE)
+    for i, var in rec.y_vars.items():
+        rec.model.set_objective(var, weight[i])
+    known = [_known(plan)]
+    # the exchanges the last scored attack turned off, maybe in an earlier call
+    off = {i for i, var in rec.y_vars.items() if rec.model.ub[var] == 0.0}
 
     best_val = sum(w for _, w in plan) + 1
     best_u = Attack.of((), budget)
@@ -334,31 +354,76 @@ def solve_attack_subproblem_bb(
             fixed = a1 | a0 | set(fill)
             fill += [v for v in range(nv) if v not in fixed][: slots - len(fill)]
             u = Attack.of(a1.union(fill), budget)
-            val = _attack_value(initial, u, rec, policy, off, clock, stats)
-            if val is None:
-                return None
-            if val < best_val:
-                best_val = val
-                best_u = u
+            blocked, base = _blocked(initial, u, pool, policy, weight)
+            if not _rules_out(known, blocked, base, best_val):
+                val = _attack_value(initial, u, rec, blocked, base, off, known, clock, stats)
+                if val is None:
+                    return None
+                if val < best_val:
+                    best_val = val
+                    best_u = u
             for i, f in enumerate(fill):
                 stack.append((a1.union(fill[:i]), a0 | {f}))
     return best_val, best_u
 
 
-def _attack_value(
-    initial: KepSolution, u: Attack, rec: RecourseHandle, policy: Policy,
-    off: Set[int], clock: _Clock, stats: RobustStats,
-) -> Optional[int]:
-    """Recourse value under u on ``rec``, the FR recourse of the whole pool,
-    on the stage-3 clock, or None when the solve meets the time limit.  The
-    exchanges through u, and under FSE through the structures it enforces,
-    get upper bound 0; the optimum plus the enforced weight is the value.
-    ``off`` holds the exchanges the previous attack turned off: those u
-    spares are turned back on, and ``off`` ends holding u's."""
-    t0 = time.perf_counter()
-    pool, model = rec.pool, rec.model
+# A recourse solution known to bb: its weight under the plan, and per vertex
+# it covers, the pool index and weight of its exchange through that vertex;
+# exchanges of weight 0 are left out.
+_Known = Tuple[int, Dict[int, Tuple[int, int]]]
+
+
+def _known(exchanges: List[Tuple[Exchange, int]]) -> _Known:
+    """The known solution of the given exchanges and their weights."""
+    through = {v: (e.index, w) for e, w in exchanges if w for v in e.vertices}
+    return sum(w for _, w in exchanges), through
+
+
+def _blocked(
+    initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
+    weight: List[int],
+) -> Tuple[Set[int], int]:
+    """The vertices u blocks, its own and under FSE those of the structures
+    it enforces, and the weight of those structures under the plan's
+    ``weight``, indexed by pool index."""
     enforced = enforced_under_attack(initial, u, pool, policy)
     blocked = u.attacked.union(*(e.vertices for e in enforced))
+    return blocked, sum(weight[e.index] for e in enforced)
+
+
+def _rules_out(known: List[_Known], blocked: Set[int], base: int, target: int) -> bool:
+    """Whether a known recourse solution shows that an attack is worth at
+    least ``target``: the attack's enforced weight ``base`` plus the weight
+    of the solution's exchanges that avoid the ``blocked`` vertices reaches
+    it.  Those exchanges are a packing the attack leaves feasible.  The
+    scan stops at the first solution that rules the attack out, which moves
+    to the front."""
+    need = target - base
+    for k, (total, through) in enumerate(known):
+        if total < need:
+            continue
+        hit = {through[v] for v in blocked if v in through}
+        if total - sum(w for _, w in hit) >= need:
+            if k:
+                known.insert(0, known.pop(k))
+            return True
+    return False
+
+
+def _attack_value(
+    initial: KepSolution, u: Attack, rec: RecourseHandle, blocked: Set[int],
+    base: int, off: Set[int], known: List[_Known], clock: _Clock, stats: RobustStats,
+) -> Optional[int]:
+    """Recourse value under u on ``rec``, the FR recourse of the whole pool
+    with the plan's weights as costs, on the stage-3 clock, or None when the
+    solve meets the time limit.  ``blocked`` and ``base`` are ``_blocked``'s
+    for u: the exchanges through the blocked vertices get upper bound 0, and
+    the optimum plus u's enforced weight ``base`` is the value.  ``off``
+    holds the exchanges the previous attack turned off: those u spares are
+    turned back on, and ``off`` ends holding u's.  The optimal recourse
+    solution joins ``known`` unless it is there already."""
+    t0 = time.perf_counter()
+    pool, model = rec.pool, rec.model
     now = {i for v in blocked for i in pool.involving(v)}
     for i in off - now:
         model.set_bounds(rec.y_vars[i], 0.0, 1.0)
@@ -370,9 +435,15 @@ def _attack_value(
     stats.time_stage3 += time.perf_counter() - t0
     if not _check(outcome):
         return None
-    return outcome.int_objective() + sum(
-        exchange_weight(e, rec.initial_pairs) for e in enforced
-    )
+    x = outcome.assignment
+    sol = _known([
+        (pool.exchange(i), round(model.obj[var]))
+        for i, var in rec.y_vars.items()
+        if x[var] > 0.5
+    ])
+    if sol not in known:
+        known.append(sol)
+    return outcome.int_objective() + base
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,17 @@ def solve_subproblem_at(sub, u):
     attack variables' bounds and the basis the next root starts from; used
     for cut validation."""
     model = sub.model
-    saved = list(model.lb), list(model.ub), model.start_basis
+    saved = [(v, model.lb[v], model.ub[v]) for v in sub.u_vars.values()]
+    start_basis = model.start_basis
     try:
         for j, v in sub.u_vars.items():
             val = 1.0 if j in u.attacked else 0.0
             model.set_bounds(v, val, val)
         return model.solve()
     finally:
-        model.lb, model.ub, model.start_basis = saved
+        for v, lb, ub in saved:
+            model.set_bounds(v, lb, ub)
+        model.start_basis = start_basis
 
 
 def random_solution(pool, rng):

@@ -406,6 +406,65 @@ class TestWarmRoot:
                     assert out.int_objective() == expected
         assert warm_starts > 0
 
+    def test_recosted_model_replays(self, lp_path):
+        """``set_objective`` warms the next root, as ``set_bounds`` does; the
+        live LP takes the new costs, and a re-solve replays bit for bit."""
+        rng = random.Random(19)
+        warm_starts = 0
+        for _ in range(25):
+            m, obj, rows = random_model(rng, max_vars=8)
+            m.solve()
+            for _ in range(3):
+                for var in rng.sample(range(m.num_variables), rng.randint(1, m.num_variables)):
+                    obj[var] = rng.randint(-5, 5)
+                    m.set_objective(var, obj[var])
+                warm_starts += m.start_basis is not None
+                out = m.solve()
+                assert m.solve() == out  # every field, LP iterations included
+                assert_lp_holds(m)
+        assert warm_starts > 0
+
+    def test_recosted_model_matches_fresh_model(self, lp_path):
+        """A model re-costed, and re-bounded, between solves has the optimum
+        of a model built afresh with those costs and bounds."""
+        rng = random.Random(23)
+        for _ in range(25):
+            m, obj, rows = random_model(rng, max_vars=8)
+            for _ in range(3):
+                m.solve()
+                for var in rng.sample(range(m.num_variables), rng.randint(1, m.num_variables)):
+                    obj[var] = rng.randint(-5, 5)
+                    m.set_objective(var, obj[var])
+                random_bounds(m, rng)
+                fresh = MilpModel(m.sense)
+                for c, lo, hi in zip(obj, m.lb, m.ub):
+                    fresh.add_variable(BINARY, lo, hi, obj=c)
+                for row in rows:
+                    fresh.add_row(*row)
+                out, expected = m.solve(), fresh.solve()
+                assert out.status is expected.status
+                if out.status is SolveStatus.OPTIMAL:
+                    assert out.int_objective() == expected.int_objective()
+                    assert out.int_objective() == enumerate_optimum(m, obj, rows)
+
+    def test_column_arrays_kept_until_growth(self):
+        """The cost and bound arrays outlive a solve; the setters write into
+        them, and only an added column makes them anew."""
+        m, (a, b, c) = knapsack_model()
+        m.solve()
+        arrays = m._column_arrays()
+        m.set_bounds(a, 0, 0)
+        m.set_objective(b, 7)
+        assert m._column_arrays() is arrays
+        assert (arrays[0][b], arrays[1][a], arrays[2][a]) == (-7.0, 0.0, 0.0)
+        assert m.solve().int_objective() == 10  # b and c
+        m.add_row([(b, 1), (c, 1)], LESS_EQUAL, 1)
+        assert m._column_arrays() is arrays
+        m.add_variable(BINARY, obj=1)
+        assert m._column_arrays() is not arrays
+        with pytest.raises(ValueError, match="invalid variable handle"):
+            m.set_objective(9, 1)
+
     def test_infeasible_root_is_not_recorded(self):
         m, (a, b, c) = knapsack_model()
         obj, rows = [5, 4, 3], [([(a, 2), (b, 3), (c, 1)], LESS_EQUAL, 4)]

@@ -632,6 +632,84 @@ class TestSubproblemSolvers:
                 assert val == brute_force_recourse(x, u, pool, g, policy)
         assert rebounded >= 8
 
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_bb_skips_only_attacks_worth_the_incumbent(self, monkeypatch, policy):
+        """An attack that a known recourse solution rules out is worth at
+        least the incumbent of that moment, so skipping it leaves the search
+        as it was; and some attacks are ruled out."""
+        reached, skipped = [], []  # attacks the search reached; (attack, incumbent)
+        real_blocked, real_rules_out = solvers._blocked, solvers._rules_out
+
+        def blocked(initial, u, *args):
+            reached.append(u)
+            return real_blocked(initial, u, *args)
+
+        def rules_out(known, now, base, target):
+            out = real_rules_out(known, now, base, target)
+            if out:
+                skipped.append((reached[-1], target))
+            return out
+
+        monkeypatch.setattr(solvers, "_blocked", blocked)
+        monkeypatch.setattr(solvers, "_rules_out", rules_out)
+        checked = 0
+        for seed in range(6):
+            g = generate_instance(8 + seed % 3, 1 + seed % 2, 0.3, seed=seed)
+            pool = build_pool(g, 3, 3)
+            x = max_coverage_plan(pool)
+            for budget in (1, 2, 3):
+                skipped.clear()
+                s, _ = solve_attack_subproblem_bb(x, pool, policy, budget)
+                assert s == brute_force_attack(x, pool, g, policy, budget)[0]
+                for u, incumbent in skipped:
+                    assert brute_force_recourse(x, u, pool, g, policy) >= incumbent
+                checked += len(skipped)
+        assert checked > 0
+
+    def test_bb_solves_fewer_attacks_than_it_reaches(self, monkeypatch):
+        """On a 20-vertex instance most attacks the search reaches are ruled
+        out by a recourse solution bb already holds."""
+        reached, scored = [], []
+        real_blocked, real_value = solvers._blocked, solvers._attack_value
+
+        def blocked(initial, u, *args):
+            reached.append(u)
+            return real_blocked(initial, u, *args)
+
+        def value(initial, u, *args):
+            scored.append(u)
+            return real_value(initial, u, *args)
+
+        monkeypatch.setattr(solvers, "_blocked", blocked)
+        monkeypatch.setattr(solvers, "_attack_value", value)
+        g = generate_instance(18, 2, 0.15, seed=0)
+        pool = build_pool(g, 3, 3)
+        x = max_coverage_plan(pool)
+        for policy in ALL_POLICIES:
+            reached.clear()
+            scored.clear()
+            stats = solvers.RobustStats()
+            s, u = solve_attack_subproblem_bb(x, pool, policy, 3, stats=stats)
+            assert len(scored) < stats.bb_nodes
+            assert 2 * len(scored) < len(reached)
+            assert brute_force_recourse(x, u, pool, g, policy) == s
+
+    def test_bb_builds_one_recourse_model_per_robust_solve(self, monkeypatch):
+        built = []
+        real = solvers.build_recourse
+
+        def build_recourse(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(solvers, "build_recourse", build_recourse)
+        for policy in ALL_POLICIES:
+            built.clear()
+            cfg = RobustConfig(3, 3, 2, policy, subproblem_method="bb")
+            result = solve_robust(generate_instance(18, 2, 0.15, seed=0), cfg)
+            assert result.stats.n_subproblems > 1
+            assert len(built) == 1
+
     def test_bb_two_cycle_dies(self):
         g = CompatibilityGraph(2, 0, ((0, 1), (1, 0)))
         pool = build_pool(g, 2, 0)
