@@ -41,11 +41,11 @@ class BenchRecord:
     status: str
     objective: Optional[int]
     time_total_s: float
-    time_stage2_s: float
-    time_stage3_s: float
+    time_stage2_s: float  # the attacker's own seconds, its recourse solves left out
+    time_stage3_s: float  # the recourse's own seconds, model builds included
     n_attacks: int
     n_subproblems: int  # attacker calls, one per attacked plan
-    bb_nodes: int
+    bb_nodes: int  # every role's nodes summed; under bb the attacker's are search nodes
 
     @property
     def n_vertices(self) -> int:
@@ -159,11 +159,11 @@ def run_matrix(
                 status=result.status,
                 objective=result.value if result.status == "optimal" else None,
                 time_total_s=result.stats.time_total,
-                time_stage2_s=result.stats.time_stage2,
-                time_stage3_s=result.stats.time_stage3,
+                time_stage2_s=result.stats.seconds["attacker"],
+                time_stage3_s=result.stats.seconds["recourse"],
                 n_attacks=result.stats.n_attacks,
                 n_subproblems=result.stats.n_subproblems,
-                bb_nodes=result.stats.bb_nodes,
+                bb_nodes=sum(result.stats.nodes.values()),
             )
             records.append(rec)
             if writer is not None:

@@ -122,7 +122,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         st = result.stats
         lines.append(
             f"attacks: {st.n_attacks}  attacker calls: {st.n_subproblems}  "
-            f"nodes: {st.bb_nodes}  time: {st.time_total:.3f}s"
+            f"nodes: {sum(st.nodes.values())}  time: {st.time_total:.3f}s"
         )
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -18,9 +18,11 @@ at its attack's recourse value, so the search ends on the exact attack
 value and a worst attack.
 
 A time limit ends a solve one way.  A ``MilpModel`` solve that meets it
-reports ``TIME_LIMIT``; each layer above counts that solve's nodes and time,
-then returns None, and a lazy hook that gets None passes it on, which ends
-its tree as a time limit does (see ``milp``).
+reports ``TIME_LIMIT``; each layer above returns None, and a lazy hook that
+gets None passes it on, which ends its tree as a time limit does (see
+``milp``).  Each solve, at the limit or not, charges its nodes and its own
+seconds, wall time less what nested solves charged, to its role in
+``RobustStats`` (``_solve``, ``_charged``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .milp import GAP_TOL, SolveStatus
 
 METHOD_CUT = "cut"
 METHOD_BB = "bb"
+ROLES = ("master", "attacker", "recourse")
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,10 @@ class RobustConfig:
 class RobustStats:
     n_attacks: int = 0  # attack blocks the master took, not its seed block
     n_subproblems: int = 0  # attacker calls, one per plan the master checked
-    # master, cut attacker and cut recourse MILP nodes, and bb search nodes
-    bb_nodes: int = 0
+    # per role: nodes explored (bb's search nodes as the attacker's), own seconds
+    nodes: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(ROLES, 0))
+    seconds: Dict[str, float] = field(default_factory=lambda: dict.fromkeys(ROLES, 0.0))
     time_total: float = 0.0
-    time_stage2: float = 0.0
-    time_stage3: float = 0.0
 
 
 @dataclass
@@ -126,12 +128,19 @@ class _Clock:
 
 
 @contextmanager
-def _stage2(stats: RobustStats):
-    """Charge the time spent in the block to stage 2, less the stage-3
-    recourse solves inside it, which charge themselves."""
-    t0, stage3 = time.perf_counter(), stats.time_stage3
+def _charged(stats: RobustStats, role: str):
+    """Charge the block's wall time, less what blocks nested in it charged, to ``role``."""
+    t0, nested = time.perf_counter(), sum(stats.seconds.values())
     yield
-    stats.time_stage2 += time.perf_counter() - t0 - (stats.time_stage3 - stage3)
+    stats.seconds[role] += time.perf_counter() - t0 - (sum(stats.seconds.values()) - nested)
+
+
+def _solve(model, role: str, clock: _Clock, stats: RobustStats, **kwargs):
+    """Solve ``model`` on ``clock``, charging its nodes and own seconds to ``role``."""
+    with _charged(stats, role):
+        outcome = model.solve(clock.remaining(), **kwargs)
+    stats.nodes[role] += outcome.nodes_explored
+    return outcome
 
 
 def _check(outcome) -> bool:  # True if optimal, False at the time limit
@@ -144,19 +153,17 @@ def _recourse(
     initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
     lifted: bool, clock: _Clock, stats: RobustStats,
 ) -> Optional[Tuple[KepSolution, int]]:
-    """Build and solve the recourse model under u, on the stage-3 clock: the
-    cut solution and the recourse value, or None when the solve meets the
-    time limit.  The solve's nodes count in ``stats.bb_nodes`` either way.
+    """Build and solve the recourse model under u, charged to the recourse:
+    the cut solution and the recourse value, or None when the solve meets
+    the time limit.  The solve's nodes count either way.
 
     The cut attacker's hook builds a new model, solved cold, for each attack
     it meets: solving the lifted recourse warm, or on one model with the hit
     columns pinned, picks other optimal cut solutions, and the cut search
     grows."""
-    t0 = time.perf_counter()
-    rec = build_recourse(initial, u, pool, policy, lifted=lifted)
-    outcome = rec.model.solve(clock.remaining())
-    stats.time_stage3 += time.perf_counter() - t0
-    stats.bb_nodes += outcome.nodes_explored
+    with _charged(stats, "recourse"):
+        rec = build_recourse(initial, u, pool, policy, lifted=lifted)
+        outcome = _solve(rec.model, "recourse", clock, stats)
     return extract_cut_solution(rec, outcome) if _check(outcome) else None
 
 
@@ -208,8 +215,7 @@ def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
             extend_master_with_attack(master, u_star)
         return s_val
 
-    outcome = master.model.solve(clock.remaining(), cutoff=best.value, lazy=check)
-    stats.bb_nodes += outcome.nodes_explored
+    outcome = _solve(master.model, "master", clock, stats, cutoff=best.value, lazy=check)
     if outcome.status is not SolveStatus.TIME_LIMIT:
         best.status = "optimal"
     stats.n_attacks = len(master.blocks) - 1  # not the seed block
@@ -269,9 +275,7 @@ def solve_attack_subproblem_cuttingplane(
             add_interdiction_cut(sub, cut_sol)
         return r
 
-    with _stage2(stats):
-        outcome = sub.model.solve(clock.remaining(), lazy=separate)
-    stats.bb_nodes += outcome.nodes_explored
+    outcome = _solve(sub.model, "attacker", clock, stats, lazy=separate)
     if not _check(outcome):
         return None
     return outcome.int_objective(), extract_attack(sub, outcome)
@@ -333,12 +337,12 @@ def solve_attack_subproblem_bb(
 
     # stack of (attacked fixings, protected fixings)
     stack: List[Tuple[Set[int], Set[int]]] = [(set(), set())]
-    with _stage2(stats):
+    with _charged(stats, "attacker"):
         while stack:
             if clock.remaining() == 0.0:
                 return None
             a1, a0 = stack.pop()
-            stats.bb_nodes += 1
+            stats.nodes["attacker"] += 1
             slots = budget - len(a1)
             alive = [(e, w) for e, w in plan if not any(v in a1 for v in e.vertices)]
             open_ = sorted(
@@ -415,24 +419,23 @@ def _attack_value(
     base: int, off: Set[int], known: List[_Known], clock: _Clock, stats: RobustStats,
 ) -> Optional[int]:
     """Recourse value under u on ``rec``, the FR recourse of the whole pool
-    with the plan's weights as costs, on the stage-3 clock, or None when the
-    solve meets the time limit.  ``blocked`` and ``base`` are ``_blocked``'s
-    for u: the exchanges through the blocked vertices get upper bound 0, and
-    the optimum plus u's enforced weight ``base`` is the value.  ``off``
-    holds the exchanges the previous attack turned off: those u spares are
-    turned back on, and ``off`` ends holding u's.  The optimal recourse
-    solution joins ``known`` unless it is there already."""
-    t0 = time.perf_counter()
+    with the plan's weights as costs, or None when the solve meets the time
+    limit; the bound changes and the solve charge the recourse.  ``blocked``
+    and ``base`` are ``_blocked``'s for u: the exchanges through the blocked
+    vertices get upper bound 0, and the optimum plus ``base`` is the value.
+    ``off`` holds the exchanges the previous attack turned off: those u
+    spares are turned back on, and ``off`` ends holding u's.  The optimal
+    recourse solution joins ``known`` unless it is there already."""
     pool, model = rec.pool, rec.model
-    now = {i for v in blocked for i in pool.involving(v)}
-    for i in off - now:
-        model.set_bounds(rec.y_vars[i], 0.0, 1.0)
-    for i in now - off:
-        model.set_bounds(rec.y_vars[i], 0.0, 0.0)
-    off.clear()
-    off.update(now)
-    outcome = model.solve(clock.remaining())
-    stats.time_stage3 += time.perf_counter() - t0
+    with _charged(stats, "recourse"):
+        now = {i for v in blocked for i in pool.involving(v)}
+        for i in off - now:
+            model.set_bounds(rec.y_vars[i], 0.0, 1.0)
+        for i in now - off:
+            model.set_bounds(rec.y_vars[i], 0.0, 0.0)
+        off.clear()
+        off.update(now)
+        outcome = _solve(model, "recourse", clock, stats)
     if not _check(outcome):
         return None
     x = outcome.assignment

@@ -191,7 +191,7 @@ class TestSolveRobust:
     def test_attacker_time_limit_keeps_master_nodes(self, monkeypatch, method):
         """A time limit met inside an attacker call ends the master's solve
         as its own limit would: the solve returns the plan certified so far,
-        and the master's nodes count in ``bb_nodes``."""
+        and the master's nodes count in ``nodes["master"]``."""
         masters, outcomes = [], []
         real_build, real_solve = solvers.build_master, milp.MilpModel.solve
         name = {"cut": "solve_attack_subproblem_cuttingplane",
@@ -224,7 +224,7 @@ class TestSolveRobust:
         assert next(calls) == 3 and result.stats.n_subproblems == 1
         [outcome] = outcomes
         assert outcome.status is milp.SolveStatus.TIME_LIMIT
-        assert 0 < outcome.nodes_explored <= result.stats.bb_nodes
+        assert 0 < outcome.nodes_explored == result.stats.nodes["master"]
         assert result.value <= outcome.best_bound < float("inf")
         replay = brute_force_recourse(
             result.initial, result.worst_attack, build_pool(g, 3, 3), g,
@@ -236,8 +236,8 @@ class TestSolveRobust:
     def test_recourse_time_limit_keeps_every_node(self, monkeypatch, stop_at):
         """A time limit met in a recourse solve inside the cut attacker stops
         the attacker's tree as its own limit would: every node LP that ran,
-        the master's, the attacker's and the recourse's, counts in
-        ``bb_nodes``."""
+        the master's, the attacker's and the recourse's, counts in its
+        role's ``nodes``."""
         node_lps = []
         real_node_lp, real_recourse = milp._warm_node_lp, solvers._recourse
         calls = itertools.count(1)
@@ -261,7 +261,28 @@ class TestSolveRobust:
         monkeypatch.setattr(solvers, "_recourse", recourse)
         result = solve_robust(generate_instance(18, 2, 0.15, seed=0), RobustConfig(3, 3, 3))
         assert result.status == ("optimal" if stop_at is None else "timelimit")
-        assert result.stats.bb_nodes == len(node_lps)
+        assert sum(result.stats.nodes.values()) == len(node_lps)
+
+    def test_bb_counts_every_node_lp(self, monkeypatch):
+        """Under bb every node LP that ran is the master's or the recourse's,
+        and counts in its role's ``nodes``; the attacker's are search nodes."""
+        node_lps = []
+        real_node_lp = milp._warm_node_lp
+
+        def node_lp(*args, **kwargs):
+            solve_node = real_node_lp(*args, **kwargs)
+
+            def counting(*node_args):
+                node_lps.append(node_args)
+                return solve_node(*node_args)
+
+            return counting
+
+        monkeypatch.setattr(milp, "_warm_node_lp", node_lp)
+        cfg = RobustConfig(3, 3, 2, subproblem_method="bb")
+        nodes = solve_robust(generate_instance(18, 2, 0.15, seed=0), cfg).stats.nodes
+        assert nodes["recourse"] > 0 and nodes["attacker"] > 0
+        assert nodes["master"] + nodes["recourse"] == len(node_lps)
 
     def test_bad_method_rejected(self):
         for method in ("simplex", "oracle"):
@@ -362,10 +383,10 @@ def robust_optimum(seed, policy, budget):
 
 @pytest.fixture
 def cutoff_paths(monkeypatch):
-    """Counts the solves that a cutoff ended ``INFEASIBLE``, by model sense:
-    "max" is a master tree that finds no plan better than the empty plan,
-    its cutoff, which happens exactly when the robust value is 0 (the
-    attacker and recourse models take no cutoff).  "resolved" counts
+    """Counts the solves that a cutoff ended ``INFEASIBLE``, by model sense,
+    of the solves that take a lazy hook too: "max" is a master tree that
+    finds no plan better than the empty plan, its cutoff, which happens
+    exactly when the robust value is 0.  "resolved" counts
     the attacker nodes whose lazy hook added a cut, which ``MilpModel.solve``
     then solves again; the master ("max") nodes that took a block are not
     counted."""
@@ -381,7 +402,8 @@ def cutoff_paths(monkeypatch):
 
         hook = None if lazy is None else counting
         out = real_solve(model, time_limit, cutoff=cutoff, lazy=hook, **kwargs)
-        if cutoff is not None and out.status is milp.SolveStatus.INFEASIBLE:
+        ended = out.status is milp.SolveStatus.INFEASIBLE
+        if lazy is not None and cutoff is not None and ended:
             taken[model.sense] += 1
         return out
 
@@ -534,7 +556,7 @@ class TestSubproblemSolvers:
                 x, pool, Policy.FULL_RECOURSE, 1, clock=clock, stats=stats
             )
         assert out is None
-        assert (stats.n_subproblems, stats.bb_nodes) == (1, 0)
+        assert (stats.n_subproblems, sum(stats.nodes.values())) == (1, 0)
 
     def test_bb_exact_value(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
@@ -547,8 +569,9 @@ class TestSubproblemSolvers:
 
     @pytest.mark.parametrize("method", ["cut", "bb"])
     def test_stage2_time_is_charged(self, method):
-        """Either attacker charges its search to stage 2, less the recourse
-        solves inside it, which charge stage 3; in a robust solve too."""
+        """Either attacker charges its search to the attacker, less the
+        recourse solves inside it, which charge the recourse; in a robust
+        solve the master's own seconds join them, within ``time_total``."""
         pool = build_pool(CHAIN_GRAPH, 3, 3)
         x = full_chain_solution(pool)
         stats = solvers.RobustStats()
@@ -560,10 +583,14 @@ class TestSubproblemSolvers:
         else:
             solve_attack_subproblem_bb(x, pool, Policy.FULL_RECOURSE, 1, stats=stats)
         elapsed = time.perf_counter() - t0
-        assert stats.time_stage2 > 0 and stats.time_stage3 > 0
-        assert stats.time_stage2 + stats.time_stage3 <= elapsed
+        seconds = stats.seconds
+        assert min(seconds.values()) >= 0
+        assert seconds["attacker"] > 0 and seconds["recourse"] > 0
+        assert seconds["attacker"] + seconds["recourse"] <= elapsed
         cfg = RobustConfig(3, 3, 1, subproblem_method=method)
-        assert solve_robust(CHAIN_GRAPH, cfg).stats.time_stage2 > 0
+        stats = solve_robust(CHAIN_GRAPH, cfg).stats
+        assert min(stats.seconds.values()) >= 0 and stats.seconds["attacker"] > 0
+        assert sum(stats.seconds.values()) <= stats.time_total
 
     def test_budget_zero(self):
         pool = build_pool(CHAIN_GRAPH, 3, 3)
@@ -690,7 +717,7 @@ class TestSubproblemSolvers:
             scored.clear()
             stats = solvers.RobustStats()
             s, u = solve_attack_subproblem_bb(x, pool, policy, 3, stats=stats)
-            assert len(scored) < stats.bb_nodes
+            assert len(scored) < stats.nodes["attacker"]
             assert 2 * len(scored) < len(reached)
             assert brute_force_recourse(x, u, pool, g, policy) == s
 
