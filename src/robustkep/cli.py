@@ -20,7 +20,7 @@ from .bench import (
 from .core import Policy
 from .formulations import Encoding
 from .io import generate_instance, parse_instance, render_instance
-from .solvers import RobustConfig, solve_robust
+from .solvers import ROLES, RobustConfig, solve_robust
 
 
 @contextlib.contextmanager
@@ -120,9 +120,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             lines.append(f"  {e.kind.value}: {' '.join(str(v) for v in e.vertices)}")
         lines.append(f"worst attack: {sorted(result.worst_attack.attacked)}")
         st = result.stats
+        nodes = " ".join(f"{role} {st.nodes[role]}" for role in ROLES)
         lines.append(
             f"attacks: {st.n_attacks}  attacker calls: {st.n_subproblems}  "
-            f"nodes: {sum(st.nodes.values())}  time: {st.time_total:.3f}s"
+            f"nodes: {nodes}  time: {st.time_total:.3f}s"
         )
         fh.write("\n".join(lines) + "\n")
     return 0

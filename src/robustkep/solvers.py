@@ -28,6 +28,7 @@ seconds, wall time less what nested solves charged, to its role in
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,8 +89,12 @@ class RobustConfig:
             raise ValueError(f"unknown encoding {self.encoding!r}: expected an Encoding member")
         if self.subproblem_method not in (METHOD_CUT, METHOD_BB):
             raise ValueError(f"unknown subproblem method {self.subproblem_method!r}")
-        if self.time_limit is not None and not self.time_limit > 0:  # NaN fails too
-            raise ValueError(f"time limit must be a positive number, got {self.time_limit!r}")
+        if not isinstance(self.lifting, bool):
+            raise ValueError(f"lifting must be a bool, got {self.lifting!r}")
+        limit = self.time_limit
+        real = isinstance(limit, numbers.Real) and not isinstance(limit, bool)
+        if limit is not None and not (real and limit > 0):  # NaN fails too
+            raise ValueError(f"time limit must be a positive number, got {limit!r}")
 
 
 @dataclass
@@ -147,24 +152,6 @@ def _check(outcome) -> bool:  # True if optimal, False at the time limit
     if outcome.status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT):
         raise RuntimeError(f"unexpected solve status {outcome.status}")
     return outcome.status is SolveStatus.OPTIMAL
-
-
-def _recourse(
-    initial: KepSolution, u: Attack, pool: ExchangePool, policy: Policy,
-    lifted: bool, clock: _Clock, stats: RobustStats,
-) -> Optional[Tuple[KepSolution, int]]:
-    """Build and solve the recourse model under u, charged to the recourse:
-    the cut solution and the recourse value, or None when the solve meets
-    the time limit.  The solve's nodes count either way.
-
-    The cut attacker's hook builds a new model, solved cold, for each attack
-    it meets: solving the lifted recourse warm, or on one model with the hit
-    columns pinned, picks other optimal cut solutions, and the cut search
-    grows."""
-    with _charged(stats, "recourse"):
-        rec = build_recourse(initial, u, pool, policy, lifted=lifted)
-        outcome = _solve(rec.model, "recourse", clock, stats)
-    return extract_cut_solution(rec, outcome) if _check(outcome) else None
 
 
 def solve_robust(graph: CompatibilityGraph, cfg: RobustConfig) -> RobustResult:
@@ -238,12 +225,18 @@ def solve_attack_subproblem_cuttingplane(
     one branch-and-cut tree, or None when ``clock`` runs out.
 
     The attacker MILP is solved once.  At each integer node its lazy hook
-    solves the recourse under the node's attack u, once per attack; when the
+    solves the recourse under the node's attack u, in a new model solved
+    cold: a warm lifted recourse, or one model with the hit columns pinned,
+    picks other optimal cut solutions, and the cut search grows.  When the
     recourse value r exceeds the node's Z, the interdiction cut of the
     recourse solution joins the model and the node is solved again.  The
     hook values the node at r either way, so the incumbent is the least
     recourse value found, and once the search ends it is s(x), with the
-    attack that gave it as the worst attack.  A time limit met in a recourse
+    attack that gave it as the worst attack.  Z at u then stays at least r,
+    by the cut just added or, with none added (z >= r), by the cuts before,
+    which only raise Z.  The u are the only binaries, so a later node whose
+    LP lands on u is pruned before the hook runs: the hook meets each attack
+    once, which the stall guard checks.  A time limit met in a recourse
     solve stops the tree as its own limit would, with its nodes counted.
     """
     clock = clock or _Clock(None)
@@ -252,16 +245,15 @@ def solve_attack_subproblem_cuttingplane(
     sub = build_subproblem(initial, pool, policy, encoding, budget)
     add_interdiction_cut(sub, initial)
     added = {initial}  # the solutions whose cuts the model holds
-    recourses: Dict[Attack, Tuple[KepSolution, int]] = {}  # cut solution, value
 
     def separate(x) -> Optional[int]:
         u = attack_at(sub, x)
-        if u not in recourses:
-            recourse = _recourse(initial, u, pool, policy, lifting, clock, stats)
-            if recourse is None:
-                return None  # the tree stops as on its own limit, its nodes counted
-            recourses[u] = recourse
-        cut_sol, r = recourses[u]
+        with _charged(stats, "recourse"):
+            rec = build_recourse(initial, u, pool, policy, lifted=lifting)
+            outcome = _solve(rec.model, "recourse", clock, stats)
+        if not _check(outcome):
+            return None  # the tree stops as on its own limit, its nodes counted
+        cut_sol, r = extract_cut_solution(rec, outcome)
         z = x[sub.z_var]
         if r > z + GAP_TOL:
             if cut_sol in added:
@@ -360,7 +352,7 @@ def solve_attack_subproblem_bb(
             u = Attack.of(a1.union(fill), budget)
             blocked, base = _blocked(initial, u, pool, policy, weight)
             if not _rules_out(known, blocked, base, best_val):
-                val = _attack_value(initial, u, rec, blocked, base, off, known, clock, stats)
+                val = _attack_value(rec, blocked, base, off, known, clock, stats)
                 if val is None:
                     return None
                 if val < best_val:
@@ -415,8 +407,8 @@ def _rules_out(known: List[_Known], blocked: Set[int], base: int, target: int) -
 
 
 def _attack_value(
-    initial: KepSolution, u: Attack, rec: RecourseHandle, blocked: Set[int],
-    base: int, off: Set[int], known: List[_Known], clock: _Clock, stats: RobustStats,
+    rec: RecourseHandle, blocked: Set[int], base: int, off: Set[int],
+    known: List[_Known], clock: _Clock, stats: RobustStats,
 ) -> Optional[int]:
     """Recourse value under u on ``rec``, the FR recourse of the whole pool
     with the plan's weights as costs, or None when the solve meets the time

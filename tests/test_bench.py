@@ -363,6 +363,24 @@ class TestCli:
         assert out.startswith("status: timelimit\ncertified value: 0\n")
         assert "objective" not in out
 
+    @pytest.mark.parametrize("method", ["cut", "bb"])
+    def test_solve_prints_nodes_per_role(self, tmp_path, capsys, method):
+        """``nodes:`` prints each role's nodes in ``ROLES`` order, as
+        ``solve_robust`` counts them, so bb's search nodes are never added
+        to MILP nodes."""
+        inst = tmp_path / "g.kep"
+        inst.write_text(render_instance(generate_instance(12, 2, 0.25, seed=3), "kep"))
+        argv = ["solve", "--input", str(inst), "--budget", "2", "--method", method]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        printed = re.search(r"  nodes: master (\d+) attacker (\d+) recourse (\d+)  time: ", out)
+        assert printed, out
+        cfg = RobustConfig(3, 3, 2, subproblem_method=method)
+        nodes = solve_robust(parse_instance(inst.read_text()), cfg).stats.nodes
+        assert list(nodes) == ["master", "attacker", "recourse"]
+        assert [int(n) for n in printed.groups()] == list(nodes.values())
+        assert min(nodes.values()) > 0
+
     def test_solve_json_instance(self, tmp_path, capsys):
         inst = tmp_path / "g.json"
         inst.write_text('{"pairs": 3, "ndds": 1, "arcs": [[3,0],[0,1],[1,2],[2,1]]}')

@@ -1,10 +1,12 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import random
 import time
 import types
 
+import numpy as np
 import pytest
 
 from robustkep import (
@@ -49,6 +51,30 @@ def max_coverage_plan(pool):
             chosen.append(i)
             used.update(pool.exchange(i).vertices)
     return KepSolution.of(chosen)
+
+
+def spy_bb_scores(monkeypatch):
+    """Lists that fill as bb searches: ``reached``, each attack the search
+    reaches with its ``_blocked`` result, and ``scored``, (attack, value)
+    for each attack it solves.  ``_attack_value`` does not take the attack;
+    ``_blocked`` runs for it just before, so the attack is ``reached[-1]``'s,
+    and the spy checks that the call gets that attack's blocked set."""
+    reached, scored = [], []
+    real_blocked, real_value = solvers._blocked, solvers._attack_value
+
+    def blocked(initial, u, *args):
+        reached.append((u, real_blocked(initial, u, *args)))
+        return reached[-1][1]
+
+    def value(rec, blocked, base, *args):
+        u, last = reached[-1]
+        assert (blocked, base) == last, "scored an attack other than the last one reached"
+        scored.append((u, real_value(rec, blocked, base, *args)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(solvers, "_blocked", blocked)
+    monkeypatch.setattr(solvers, "_attack_value", value)
+    return reached, scored
 
 
 class TestSolveRobust:
@@ -239,7 +265,7 @@ class TestSolveRobust:
         the master's, the attacker's and the recourse's, counts in its
         role's ``nodes``."""
         node_lps = []
-        real_node_lp, real_recourse = milp._warm_node_lp, solvers._recourse
+        real_node_lp, real_solve = milp._warm_node_lp, solvers._solve
         calls = itertools.count(1)
 
         def node_lp(*args, **kwargs):
@@ -251,14 +277,14 @@ class TestSolveRobust:
 
             return counting
 
-        def recourse(*args, **kwargs):
-            out = real_recourse(*args, **kwargs)
-            if next(calls) == stop_at:  # the solve ran, then met the limit
-                return None
+        def solve(model, role, *args, **kwargs):
+            out = real_solve(model, role, *args, **kwargs)
+            if role == "recourse" and next(calls) == stop_at:  # it ran, then met the limit
+                return dataclasses.replace(out, status=milp.SolveStatus.TIME_LIMIT)
             return out
 
         monkeypatch.setattr(milp, "_warm_node_lp", node_lp)
-        monkeypatch.setattr(solvers, "_recourse", recourse)
+        monkeypatch.setattr(solvers, "_solve", solve)
         result = solve_robust(generate_instance(18, 2, 0.15, seed=0), RobustConfig(3, 3, 3))
         assert result.status == ("optimal" if stop_at is None else "timelimit")
         assert sum(result.stats.nodes.values()) == len(node_lps)
@@ -311,10 +337,21 @@ class TestSolveRobust:
         assert result.status == "timelimit"
         assert result.stats.time_total >= 5.0
 
-    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0, True, "5"])
     def test_bad_time_limit_rejected(self, limit):
+        # True would read as a 1 s limit, and "5" failed `>` with a TypeError
         with pytest.raises(ValueError, match="time limit must be a positive"):
             RobustConfig(3, 3, 1, time_limit=limit)
+
+    @pytest.mark.parametrize("limit", [2, 2.5, np.float64(2.5)])
+    def test_real_time_limit_accepted(self, limit):
+        assert RobustConfig(3, 3, 1, time_limit=limit).time_limit == limit
+
+    @pytest.mark.parametrize("value", ["off", None, 1])
+    def test_non_bool_lifting_rejected(self, value):
+        # "off" is truthy, so the cut attacker would lift its cuts
+        with pytest.raises(ValueError, match="lifting must be a bool"):
+            RobustConfig(3, 3, 1, lifting=value)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -611,17 +648,42 @@ class TestSubproblemSolvers:
         )
         assert s == 0
 
+    @pytest.mark.parametrize("lifting", [True, False])
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_cut_hook_meets_each_attack_once(self, monkeypatch, encoding, policy, lifting):
+        """Once the hook values an attack at r, the incumbent is at most r
+        and the cuts hold Z >= r there, so no later node reaches the hook on
+        the same attack: no attack's recourse is built twice in a call."""
+        attacks = []
+        real = solvers.build_recourse
+
+        def build_recourse(initial, u, *args, **kwargs):
+            attacks.append(u)
+            return real(initial, u, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "build_recourse", build_recourse)
+        rng = random.Random(f"{encoding.value}/{policy.value}/{lifting}")
+        most = 0
+        for _ in range(3):
+            n, ndds = rng.randint(10, 14), rng.randint(0, 2)
+            g = generate_instance(n - ndds, ndds, 0.3, seed=rng.randint(0, 9999))
+            pool = build_pool(g, 3, 3)
+            x = max_coverage_plan(pool)
+            for budget in (1, 2, 3):
+                attacks.clear()
+                s, _ = solve_attack_subproblem_cuttingplane(
+                    x, pool, policy, encoding, budget, lifting=lifting
+                )
+                assert len(set(attacks)) == len(attacks), "the hook met an attack twice"
+                assert s == brute_force_attack(x, pool, g, policy, budget)[0]
+                most = max(most, len(attacks))
+        assert most >= 3  # some calls meet several attacks
+
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_bb_solves_each_attack_once(self, monkeypatch, policy, budget):
-        scored = []
-        real = solvers._attack_value
-
-        def recording(initial, u, *args):
-            scored.append(u)
-            return real(initial, u, *args)
-
-        monkeypatch.setattr(solvers, "_attack_value", recording)
+        _, scored = spy_bb_scores(monkeypatch)
         for seed in range(4):
             g = generate_instance(10, 2, 0.3, seed=seed)
             pool = build_pool(g, 3, 3)
@@ -629,7 +691,8 @@ class TestSubproblemSolvers:
             expected, _ = brute_force_attack(x, pool, g, policy, budget)
             scored.clear()
             s, u = solve_attack_subproblem_bb(x, pool, policy, budget)
-            assert len(set(scored)) == len(scored), "an attack was solved twice"
+            attacks = [a for a, _ in scored]
+            assert len(set(attacks)) == len(attacks), "an attack was solved twice"
             assert brute_force_recourse(x, u, pool, g, policy) == s
             assert s == expected
 
@@ -639,14 +702,7 @@ class TestSubproblemSolvers:
         """bb re-bounds one recourse model per call from attack to attack:
         every value it scores is exact, so no bound of an earlier attack
         survives."""
-        scored = []
-        real = solvers._attack_value
-
-        def recording(initial, u, *args):
-            scored.append((u, real(initial, u, *args)))
-            return scored[-1][1]
-
-        monkeypatch.setattr(solvers, "_attack_value", recording)
+        _, scored = spy_bb_scores(monkeypatch)
         rebounded = 0  # the attacks scored after another one in the same call
         for seed in range(8):
             g = generate_instance(6 + seed % 4, 1 + seed % 2, 0.35, seed=seed)
@@ -696,19 +752,7 @@ class TestSubproblemSolvers:
     def test_bb_solves_fewer_attacks_than_it_reaches(self, monkeypatch):
         """On a 20-vertex instance most attacks the search reaches are ruled
         out by a recourse solution bb already holds."""
-        reached, scored = [], []
-        real_blocked, real_value = solvers._blocked, solvers._attack_value
-
-        def blocked(initial, u, *args):
-            reached.append(u)
-            return real_blocked(initial, u, *args)
-
-        def value(initial, u, *args):
-            scored.append(u)
-            return real_value(initial, u, *args)
-
-        monkeypatch.setattr(solvers, "_blocked", blocked)
-        monkeypatch.setattr(solvers, "_attack_value", value)
+        reached, scored = spy_bb_scores(monkeypatch)
         g = generate_instance(18, 2, 0.15, seed=0)
         pool = build_pool(g, 3, 3)
         x = max_coverage_plan(pool)
